@@ -7,14 +7,14 @@
 //!   call (unchanged public signature).
 //! * **Session** — [`UcqEngine::session`] pins an instance and returns an
 //!   [`EvalSession`] whose context (dictionary, interned relations,
-//!   normalizations, [`IndexCache`](ucq_storage::IndexCache)) and
+//!   normalizations, indexes) and
 //!   preprocessed per-member engines persist across calls: repeated
 //!   [`EvalSession::enumerate`]s skip the linear preprocessing entirely —
 //!   the "serve traffic" shape.
 //! * **Frozen session** — [`EvalSession::freeze`] snapshots the prepared
 //!   session into a [`FrozenSession`]: `Send + Sync`, drivable from any
 //!   number of threads at once, with no lock on the per-answer hot path
-//!   (see [`ucq_storage::FrozenContext`]). Each [`FrozenSession::enumerate`]
+//!   (see [`CtxView::freeze`]). Each [`FrozenSession::enumerate`]
 //!   call hands the calling thread its own cursors and scratch.
 
 use crate::algorithm1::Algorithm1;
@@ -438,8 +438,8 @@ impl EvalSession<'_> {
 
 impl<'e> EvalSession<'e> {
     /// Ends the build phase: runs the linear preprocessing if it has not
-    /// run yet, snapshots the context into an immutable
-    /// [`ucq_storage::FrozenContext`], and retargets the prepared engines
+    /// run yet, folds the context into the immutable base of a fresh handle
+    /// ([`CtxView::freeze`]), and retargets the prepared engines
     /// onto the snapshot — no preprocessing is repeated. The result is
     /// `Send + Sync`: N threads can call [`FrozenSession::enumerate`]
     /// concurrently, each getting its own cursors, with zero locking on
@@ -600,9 +600,8 @@ impl FrozenSession<'_> {
     }
 
     /// The build-phase context behind this snapshot — the write side of the
-    /// session. Deltas go here
-    /// ([`EvalContext::insert_rows`](ucq_storage::EvalContext::insert_rows) /
-    /// [`delete_rows`](ucq_storage::EvalContext::delete_rows) via the view),
+    /// session. Deltas go here ([`CtxView::insert_rows`] /
+    /// [`CtxView::delete_rows`]),
     /// then [`FrozenSession::refreeze`] publishes them as the next epoch.
     pub fn build_context(&self) -> &CtxView {
         &self.build_ctx
@@ -1002,12 +1001,10 @@ mod tests {
         let i = inst(&[("R", vec![(1, 2)])]);
         let frozen = eng.session(&i).freeze().unwrap();
         let next = frozen.refreeze(&i.clone()).unwrap();
-        match (&frozen.ctx, &next.ctx) {
-            (CtxView::Frozen(a), CtxView::Frozen(b)) => {
-                assert!(Arc::ptr_eq(a, b), "no-op refreeze shares the snapshot")
-            }
-            _ => panic!("frozen sessions hold frozen views"),
-        }
+        assert!(
+            CtxView::ptr_eq(&frozen.ctx, &next.ctx),
+            "no-op refreeze shares the snapshot"
+        );
         assert_eq!(collect(&next), collect(&frozen));
     }
 

@@ -225,7 +225,7 @@ pub fn extend_instance(original: &Cq, ext: &FdExtension, inst: &Instance) -> Ins
     // One interned index per (source atom, lhs) — an FD whose source
     // widens several targets must not re-intern the source per target.
     // (Local interning: widening is a preprocessing step that runs before
-    // any EvalContext exists.)
+    // any context exists.)
     type SrcEntry = (Relation, ucq_storage::Dictionary, HashIndex);
     let mut src_cache: HashMap<(usize, Vec<usize>), SrcEntry> = HashMap::new();
     for (t, app) in &ext.widened {

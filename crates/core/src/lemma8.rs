@@ -39,7 +39,7 @@ pub struct Materialized {
     /// The virtual relation (columns = the atom's variables, sorted),
     /// shared so it can be inserted into an instance without copying; its
     /// interned mirror is pre-registered with the materializing context
-    /// (see `EvalContext::register_interned`), so downstream engine
+    /// (see `CtxView::register_interned`), so downstream engine
     /// builds never re-intern it.
     pub relation: Arc<Relation>,
     /// Provider answers emitted along the way (a subset `M ⊆ Q_j(I)`), as

@@ -1,6 +1,6 @@
 //! Property tests for the context-threaded engine paths: whatever strategy
 //! `UcqEngine` picks (Algorithm 1, the Theorem 12 pipeline, or the naive
-//! fallback — all running through a shared `EvalContext`), its answers must
+//! fallback — all running through a shared `CtxView`), its answers must
 //! equal the naive baseline as multisets after deduplication, and the
 //! session path must agree with the one-shot path call after call.
 

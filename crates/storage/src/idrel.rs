@@ -706,7 +706,7 @@ impl IdSet {
 /// Normalization is prefix-compositional: if `(out, seen)` hold the
 /// normalization of physical rows `0..start`, the result holds the
 /// normalization of rows `0..base.len()`.
-/// [`EvalContext::insert_rows`](crate::EvalContext::insert_rows) leans on
+/// [`CtxView::insert_rows`](crate::CtxView::insert_rows) leans on
 /// exactly that to carry cached normalizations over a delta append —
 /// re-normalizing only the delta segment — while a from-scratch build is
 /// `start == 0` on empty state ([`normalize_ranked`]).

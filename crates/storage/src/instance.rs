@@ -55,8 +55,8 @@ impl Instance {
     }
 
     /// A cheap copy of this instance with one extra/overridden pre-shared
-    /// relation — the delta-ingestion path: [`EvalContext::insert_rows`]
-    /// (crate::EvalContext::insert_rows) hands back an `Arc<Relation>`
+    /// relation — the delta-ingestion path:
+    /// [`CtxView::insert_rows`](crate::CtxView::insert_rows) hands back an `Arc<Relation>`
     /// whose caches are already seeded, and this splices it in without
     /// cloning tuples or disturbing the other relations' identities.
     #[must_use]

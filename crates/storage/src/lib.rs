@@ -8,10 +8,11 @@
 //! Execution runs on the interned layer: a [`Dictionary`] maps values to
 //! dense [`ValueId`]s, [`IdRel`] is the columnar id mirror of a relation,
 //! [`HashIndex`]/[`IdSet`] provide O(1) lookups with allocation-free
-//! borrowed `&[ValueId]` keys ([`InlineKey`]), and [`EvalContext`] is the
+//! borrowed `&[ValueId]` keys ([`InlineKey`]), and [`CtxView`] is the
 //! per-instance session object caching interned relations, normalized
-//! projections and indexes ([`IndexCache`]) across every pipeline that
-//! evaluates the same instance.
+//! projections and indexes across every pipeline that evaluates the same
+//! instance: an immutable base read without locks plus one mutex-guarded
+//! overlay, folded into a new base by [`CtxView::freeze`].
 
 #![forbid(unsafe_code)]
 
@@ -36,10 +37,9 @@ pub mod tuple;
 pub mod value;
 
 pub use block::IdBlock;
-pub use context::{ContextStats, EvalContext, IndexCache, IngestStats, RelChurn};
+pub use context::{ContextStats, CtxView, IngestStats, RelChurn};
 pub use dictionary::{Dictionary, ValueId};
 pub use epoch::EpochCell;
-pub use frozen::{CtxView, FrozenContext};
 pub use hash::{
     fast_map_with_capacity, fast_set_with_capacity, fx_hash_of, seeded_map_with_capacity, FastMap,
     FastSet, FxBuildHasher, SeededFastMap, SeededFxBuildHasher,

@@ -188,7 +188,7 @@ impl Relation {
     /// The interned columnar mirror of this relation (`col(i) ->
     /// &[ValueId]`): every value is interned into `dict` and laid out
     /// column-wise. Evaluation pipelines obtain this through
-    /// [`crate::EvalContext::interned_rel`], which caches the result per
+    /// [`crate::CtxView::interned_rel`], which caches the result per
     /// relation.
     pub fn columnar(&self, dict: &mut crate::Dictionary) -> crate::IdRel {
         crate::IdRel::from_relation(self, dict)

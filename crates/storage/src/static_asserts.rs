@@ -1,18 +1,13 @@
-//! Compile-time thread-safety contract for the two-phase context
-//! lifecycle, colocated so every shareability claim the crate makes is
-//! checked in one place (the `ucq lint` L4 pass keeps this honest for
-//! `Frozen*` types).
+//! Compile-time thread-safety contract for the context handle, colocated
+//! so every shareability claim the crate makes is checked in one place
+//! (the `ucq lint` L4 pass keeps this honest for `Frozen*` types).
 //!
-//! The build phase is shareable (mutex-guarded), the frozen phase is
-//! shareable (immutable snapshot + overflow mutex behind the watermark
-//! flag), and the unifying view inherits both.
+//! A context is shareable in every phase: its base is immutable and its
+//! overlay sits behind a mutex and the watermark flag.
 
-use crate::context::EvalContext;
-use crate::frozen::{CtxView, FrozenContext};
+use crate::context::CtxView;
 
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<EvalContext>();
-    assert_send_sync::<FrozenContext>();
     assert_send_sync::<CtxView>();
 };

@@ -11,7 +11,7 @@
 //! cached index fall back to one counting pass over the column.
 //!
 //! Stats are cached on the evaluation context keyed by relation identity
-//! (see [`EvalContext::rel_stats`](crate::EvalContext::rel_stats)), and a
+//! (see [`CtxView::rel_stats`](crate::CtxView::rel_stats)), and a
 //! **stats epoch** on the context bumps whenever a new base relation is
 //! interned — plan caches key on `(query fingerprint, epoch)` so a changed
 //! instance invalidates stale plans without any bookkeeping.

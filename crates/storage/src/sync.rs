@@ -1,9 +1,9 @@
 //! Synchronization seam for the freeze/serve concurrency protocol.
 //!
 //! Every synchronization primitive the serving path relies on —
-//! [`FrozenContext`](crate::FrozenContext)'s overflow mutex and
-//! `has_overflow` flag, [`EvalContext`](crate::EvalContext)'s interner
-//! lock, `CdyEngine`'s lazily built row-sets, the plan-cache slots — is
+//! [`CtxView`](crate::CtxView)'s overlay mutex, `has_overflow` flag and
+//! cache counters, `CdyEngine`'s lazily built row-sets, the plan-cache
+//! slots — is
 //! imported from here rather than from `std::sync` directly. In a normal
 //! build these re-exports *are* the `std::sync` types, with zero
 //! indirection. Under `RUSTFLAGS="--cfg ucq_model_check"` they swap to the

@@ -1,5 +1,6 @@
-//! Model-checks the freeze/overflow/watermark protocol of
-//! [`FrozenContext`] under exhaustive bounded-preemption schedules.
+//! Model-checks the freeze/overflow/watermark protocol of the
+//! [`CtxView`] context handle under exhaustive bounded-preemption
+//! schedules.
 //!
 //! Run with the seam active so the *production* synchronization code
 //! yields to the DFS scheduler at every lock/atomic operation:
@@ -16,17 +17,19 @@
 //! schedule space under either configuration.
 
 use std::sync::Arc;
-use ucq_storage::{CtxView, FrozenContext, Value};
+use ucq_storage::{CtxView, Value};
 
 /// A frozen context whose snapshot holds `{1, 2}`.
-fn frozen_with_two_values() -> Arc<FrozenContext> {
+fn frozen_with_two_values() -> Arc<CtxView> {
     let build = CtxView::new();
     build.intern(Value::Int(1));
     build.intern(Value::Int(2));
-    match build.freeze() {
-        CtxView::Frozen(f) => f,
-        CtxView::Build(_) => unreachable!("freeze returned a build view"),
-    }
+    let frozen = build.freeze();
+    assert!(
+        !CtxView::ptr_eq(&frozen, &build),
+        "freeze returned the build handle"
+    );
+    Arc::new(frozen)
 }
 
 /// Two threads interning the same post-freeze value must observe a single
@@ -174,6 +177,57 @@ fn decode_rel_during_intern_race_is_complete() {
     }
 }
 
+/// The fold racing a build-side intern: the snapshot either predates the
+/// value (and lacks it) or holds it under the build side's id, and the
+/// build side keeps decoding it either way.
+#[test]
+fn freeze_racing_a_build_intern_is_all_or_nothing() {
+    let e = shuttle::explore_with(
+        shuttle::Config {
+            max_schedules: 50_000,
+            max_preemptions: 2,
+        },
+        || {
+            let build = Arc::new(CtxView::new());
+            build.intern(Value::Int(1));
+            let writer = {
+                let build = Arc::clone(&build);
+                shuttle::thread::spawn(move || build.intern(Value::Int(600)))
+            };
+            let folder = {
+                let build = Arc::clone(&build);
+                shuttle::thread::spawn(move || build.freeze())
+            };
+            let id = writer.join().unwrap();
+            let snapshot = folder.join().unwrap();
+            let seen = snapshot.lookup(Value::Int(600));
+            let snap_decoded = seen.map(|id| snapshot.decode(id));
+            let one = snapshot.lookup(Value::Int(1)).map(|id| snapshot.decode(id));
+            (id, build.decode(id), seen, snap_decoded, one)
+        },
+    );
+    assert!(e.schedules > 1, "explored only {} schedules", e.schedules);
+    assert!(!e.truncated);
+    for (id, build_decoded, seen, snap_decoded, one) in &e.outcomes {
+        assert_eq!(*build_decoded, Value::Int(600), "build side lost its id");
+        assert_eq!(*one, Some(Value::Int(1)), "pre-race value missing");
+        match seen {
+            None => assert_eq!(*snap_decoded, None),
+            Some(seen) => {
+                assert_eq!(seen, id, "snapshot holds the value under another id");
+                assert_eq!(*snap_decoded, Some(Value::Int(600)));
+            }
+        }
+    }
+    // Both orders must be explored.
+    let held = e.outcomes.iter().filter(|o| o.2.is_some()).count();
+    assert!(held > 0, "no schedule froze after the intern");
+    assert!(
+        held < e.outcomes.len(),
+        "no schedule froze before the intern"
+    );
+}
+
 /// Satellite equivalence check: the same two-interns-one-id property under
 /// *real* concurrency (default 4 threads, honoring `UCQ_PAR_THREADS`),
 /// complementing the model-checked variant above.
@@ -203,11 +257,11 @@ fn overlay_intern_race_real_threads() {
 // Mutation test: a deliberately broken variant of the protocol.
 
 mod broken_protocol {
-    //! A miniature of `FrozenContext`'s overlay publication protocol,
+    //! A miniature of `CtxView`'s overlay publication protocol,
     //! written directly against the shuttle primitives so the checker
     //! explores its full schedule space under any build configuration.
     //!
-    //! The *correct* ordering (mirroring `intern_with`) publishes the
+    //! The *correct* ordering (mirroring `CtxView::intern`) publishes the
     //! value under the lock and only then sets `has_overflow`. The
     //! *broken* ordering sets the flag before the value is published —
     //! exactly the bug class the `Release`-store-last discipline prevents

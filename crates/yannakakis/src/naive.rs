@@ -14,10 +14,10 @@
 //! allocation, and the index stays hot in cache for a whole block.
 //!
 //! All data flows through the shared context view: atom relations come
-//! from the normalized-relation cache and the per-join hash indexes from the
-//! [`IndexCache`](ucq_storage::IndexCache) — so evaluating the members of a
-//! union (or re-evaluating in a session) reuses one set of indexes instead
-//! of rebuilding per CQ.
+//! from the normalized-relation cache and the per-join hash indexes from
+//! the index cache ([`CtxView::index`](ucq_storage::CtxView::index)) — so
+//! evaluating the members of a union (or re-evaluating in a session)
+//! reuses one set of indexes instead of rebuilding per CQ.
 
 use crate::cdy::EvalError;
 use crate::noderel::NodeRel;

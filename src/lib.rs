@@ -71,9 +71,7 @@ pub mod prelude {
     };
     pub use ucq_enumerate::{measure, DelayProfile, Enumerator};
     pub use ucq_query::{parse_cq, parse_ucq, Cq, Ucq};
-    pub use ucq_storage::{
-        CtxView, Dictionary, EvalContext, FrozenContext, Instance, Relation, Tuple, Value, ValueId,
-    };
+    pub use ucq_storage::{CtxView, Dictionary, Instance, Relation, Tuple, Value, ValueId};
 }
 
 #[cfg(test)]
