@@ -15,7 +15,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use ucq_core::{classify, plan_free_connex, plan_free_connex_costed, SearchConfig, UcqPipeline};
+use ucq_core::{
+    classify, plan_free_connex, plan_free_connex_costed, SearchConfig, UcqPipelinePrep,
+};
 use ucq_enumerate::Enumerator;
 use ucq_query::{parse_ucq, Ucq};
 use ucq_storage::{CtxView, Instance, Relation, Value};
@@ -42,7 +44,9 @@ fn redundant_instance(n: i64) -> Instance {
 }
 
 fn drain_count(ucq: &Ucq, plan: &ucq_core::ExtensionPlan, inst: &Instance) -> usize {
-    let mut p = UcqPipeline::build(ucq, plan, inst).expect("pipeline");
+    let mut p = UcqPipelinePrep::prepare(ucq, plan, inst, &CtxView::new())
+        .expect("pipeline")
+        .start();
     let mut n = 0usize;
     while p.next().is_some() {
         n += 1;
@@ -96,7 +100,9 @@ fn skewed_instance(n: i64) -> Instance {
 }
 
 fn prepare_and_take(ucq: &Ucq, plan: &ucq_core::ExtensionPlan, inst: &Instance) -> usize {
-    let mut p = UcqPipeline::build(ucq, plan, inst).expect("pipeline");
+    let mut p = UcqPipelinePrep::prepare(ucq, plan, inst, &CtxView::new())
+        .expect("pipeline")
+        .start();
     let mut n = 0usize;
     while n < 100 && p.next().is_some() {
         n += 1;

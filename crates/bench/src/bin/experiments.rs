@@ -346,7 +346,7 @@ fn e9_cdy_vs_naive(scale: usize) {
 /// connex union (both are valid DelayClin strategies; Algorithm 1 needs no
 /// dedup table).
 fn e11_alg1_vs_pipeline(scale: usize) {
-    use ucq_core::{plan_free_connex, Algorithm1, SearchConfig, UcqPipeline};
+    use ucq_core::{plan_free_connex, Algorithm1, SearchConfig, UcqPipelinePrep};
     use ucq_enumerate::measure;
     use ucq_workloads::by_id;
 
@@ -358,8 +358,14 @@ fn e11_alg1_vs_pipeline(scale: usize) {
     for step in 0..3 {
         let rows = 8_000 * scale * (1 << step) / 4;
         let inst = instance_for("two_free_connex", rows, 7);
-        let (a1, p1) = measure(|| Algorithm1::build(&entry.ucq, &inst).expect("alg1"));
-        let (a2, p2) = measure(|| UcqPipeline::build(&entry.ucq, &plan, &inst).expect("pipeline"));
+        let (a1, p1) = measure(|| {
+            let engines = Algorithm1::member_engines(&entry.ucq, &inst, &CtxView::new());
+            Algorithm1::from_engines(engines.expect("alg1"))
+        });
+        let (a2, p2) = measure(|| {
+            let prep = UcqPipelinePrep::prepare(&entry.ucq, &plan, &inst, &CtxView::new());
+            prep.expect("pipeline").start()
+        });
         assert_eq!(
             a1.iter().collect::<HashSet<_>>(),
             a2.iter().collect::<HashSet<_>>()

@@ -95,27 +95,9 @@ pub struct Algorithm1 {
 }
 
 impl Algorithm1 {
-    /// Preprocesses every member with CDY under a private context. Prefer
-    /// [`Algorithm1::build_in`] (or the engine's session API) to share the
-    /// context across members and calls.
-    pub fn build(ucq: &Ucq, instance: &Instance) -> Result<Algorithm1, EvalError> {
-        Algorithm1::build_in(ucq, instance, &CtxView::new())
-    }
-
-    /// Preprocesses every member with CDY (all must be free-connex) through
-    /// the shared `ctx` and wires up the recursive interleaving.
-    pub fn build_in(
-        ucq: &Ucq,
-        instance: &Instance,
-        ctx: &CtxView,
-    ) -> Result<Algorithm1, EvalError> {
-        Ok(Algorithm1::from_engines(Algorithm1::member_engines(
-            ucq, instance, ctx,
-        )?))
-    }
-
-    /// Builds the per-member CDY engines (the preprocessing phase), shared
-    /// so sessions can reuse them across repeated enumerations.
+    /// Builds the per-member CDY engines (the preprocessing phase; every
+    /// member must be free-connex) through the shared `ctx`. The engines
+    /// are shared so sessions can reuse them across repeated enumerations.
     pub fn member_engines(
         ucq: &Ucq,
         instance: &Instance,
@@ -170,7 +152,8 @@ mod tests {
 
     fn check(text: &str, i: &Instance) {
         let u = parse_ucq(text).unwrap();
-        let mut alg = Algorithm1::build(&u, i).unwrap();
+        let engines = Algorithm1::member_engines(&u, i, &CtxView::new()).unwrap();
+        let mut alg = Algorithm1::from_engines(engines);
         let got = alg.collect_all();
         let set: HashSet<Tuple> = got.iter().cloned().collect();
         assert_eq!(got.len(), set.len(), "Algorithm 1 must be duplicate-free");
@@ -229,7 +212,7 @@ mod tests {
     #[test]
     fn non_free_connex_member_rejected() {
         let u = parse_ucq("Q1(x, y) <- A(x, z), B(z, y)").unwrap();
-        assert!(Algorithm1::build(&u, &Instance::new()).is_err());
+        assert!(Algorithm1::member_engines(&u, &Instance::new(), &CtxView::new()).is_err());
     }
 
     #[test]

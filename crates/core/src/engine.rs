@@ -1,60 +1,39 @@
 //! The top-level engine: classify once, then evaluate instances with the
 //! best applicable strategy.
 //!
-//! Two shapes of use:
+//! Every strategy has the paper's shape: one linear preprocessing pass,
+//! then any number of constant-delay enumerations. That state is built
+//! once per instance and then started, decided on, or retargeted onto a
+//! frozen snapshot. Three shapes of use share it:
 //!
-//! * **One-shot** — [`UcqEngine::enumerate`] builds a private context per
-//!   call (unchanged public signature).
+//! * **One-shot** — [`UcqEngine::enumerate`] prepares over a private
+//!   context and starts one enumeration.
 //! * **Session** — [`UcqEngine::session`] pins an instance and returns an
-//!   [`EvalSession`] whose context (dictionary, interned relations,
-//!   normalizations, indexes) and
-//!   preprocessed per-member engines persist across calls: repeated
+//!   [`EvalSession`] that prepares on its first call and keeps the context
+//!   (dictionary, interned relations, normalizations, indexes): repeated
 //!   [`EvalSession::enumerate`]s skip the linear preprocessing entirely —
 //!   the "serve traffic" shape.
-//! * **Frozen session** — [`EvalSession::freeze`] snapshots the prepared
-//!   session into a [`FrozenSession`]: `Send + Sync`, drivable from any
-//!   number of threads at once, with no lock on the per-answer hot path
-//!   (see [`CtxView::freeze`]). Each [`FrozenSession::enumerate`]
-//!   call hands the calling thread its own cursors and scratch.
+//! * **Frozen session** — [`EvalSession::freeze`] folds the context
+//!   ([`CtxView::freeze`]) and retargets the prepared state onto the
+//!   snapshot. The resulting [`FrozenSession`] is drivable from any number
+//!   of threads at once, with no lock on the per-answer hot path; each
+//!   [`FrozenSession::enumerate`] call hands the calling thread its own
+//!   cursors and scratch. [`FrozenSession::refreeze`] rebuilds only what a
+//!   delta touched.
 
 use crate::algorithm1::Algorithm1;
 use crate::classify::{classify_with, Classification, CqStatus, Verdict};
 use crate::cost::CostedSearch;
 use crate::naive_ucq::{evaluate_ucq_naive_ids_in, evaluate_ucq_naive_in};
-use crate::pipeline::{UcqPipeline, UcqPipelinePrep};
+use crate::pipeline::UcqPipelinePrep;
 use crate::plan::ExtensionPlan;
 use crate::search::SearchConfig;
-use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use ucq_enumerate::{Enumerator, IdDecoder, IdVecEnumerator};
 use ucq_query::Ucq;
-use ucq_storage::sync::OnceLock;
+use ucq_storage::sync::{AtomicUsize, OnceLock, Ordering};
 use ucq_storage::{CtxView, Instance, Tuple};
-use ucq_yannakakis::{CdyEngine, EvalError, IdTable};
-
-/// Materializes the naive union on the id layer and wraps it in the
-/// lazily-decoding value facade (ids stay interned under `ctx`; one decode
-/// per answer actually pulled).
-fn naive_id_answers(
-    ucq: &Ucq,
-    instance: &Instance,
-    ctx: &CtxView,
-) -> Result<IdDecoder<IdVecEnumerator>, EvalError> {
-    let table = evaluate_ucq_naive_ids_in(ucq, instance, ctx)?;
-    Ok(IdDecoder::new(
-        IdVecEnumerator::new(table.width, table.data, table.n_rows),
-        ctx.clone(),
-    ))
-}
-
-/// Replays a pre-materialized naive answer table through the lazily
-/// decoding value facade (the frozen-session serve path).
-fn replay_id_table(table: &IdTable, ctx: &CtxView) -> IdDecoder<IdVecEnumerator> {
-    IdDecoder::new(
-        IdVecEnumerator::new(table.width, table.data.clone(), table.n_rows),
-        ctx.clone(),
-    )
-}
+use ucq_yannakakis::{CdyEngine, EvalError};
 
 /// Which evaluation strategy a run used.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,20 +60,31 @@ pub struct PlannerStats {
     pub plan_cache_hits: usize,
 }
 
-/// Interior-mutable planner counters (sessions hand out `&self` streams).
+/// Planner counters behind `&self` (sessions hand out streams from shared
+/// references). Each counter is independent and read only as a snapshot,
+/// so relaxed ordering suffices.
 #[derive(Default)]
 struct PlannerCounters {
-    plans_searched: Cell<usize>,
-    candidates_costed: Cell<usize>,
-    plan_cache_hits: Cell<usize>,
+    plans_searched: AtomicUsize,
+    candidates_costed: AtomicUsize,
+    plan_cache_hits: AtomicUsize,
 }
 
 impl PlannerCounters {
+    /// Counters continuing from `stats` (a refreeze adds to its epoch's).
+    fn resume(stats: PlannerStats) -> PlannerCounters {
+        PlannerCounters {
+            plans_searched: AtomicUsize::new(stats.plans_searched),
+            candidates_costed: AtomicUsize::new(stats.candidates_costed),
+            plan_cache_hits: AtomicUsize::new(stats.plan_cache_hits),
+        }
+    }
+
     fn snapshot(&self) -> PlannerStats {
         PlannerStats {
-            plans_searched: self.plans_searched.get(),
-            candidates_costed: self.candidates_costed.get(),
-            plan_cache_hits: self.plan_cache_hits.get(),
+            plans_searched: self.plans_searched.load(Ordering::Relaxed),
+            candidates_costed: self.candidates_costed.load(Ordering::Relaxed),
+            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
         }
     }
 }
@@ -180,24 +170,7 @@ impl UcqEngine {
         ctx: &CtxView,
         instance: &Instance,
     ) -> Result<UcqAnswers, EvalError> {
-        let minimized = &self.classification.minimized;
-        match self.strategy() {
-            Strategy::Algorithm1 => Ok(UcqAnswers {
-                strategy: Strategy::Algorithm1,
-                inner: Box::new(Algorithm1::build_in(minimized, instance, ctx)?),
-            }),
-            Strategy::UnionExtension => {
-                let plan = self.executable_plan(ctx, instance, None);
-                Ok(UcqAnswers {
-                    strategy: Strategy::UnionExtension,
-                    inner: Box::new(UcqPipeline::build_in(minimized, &plan, instance, ctx)?),
-                })
-            }
-            Strategy::Naive => Ok(UcqAnswers {
-                strategy: Strategy::Naive,
-                inner: Box::new(naive_id_answers(minimized, instance, ctx)?),
-            }),
-        }
+        Ok(Prepared::build(self, instance, ctx, &PlannerCounters::default())?.start(ctx))
     }
 
     /// The plan the union-extension strategy should execute over
@@ -211,7 +184,7 @@ impl UcqEngine {
         &self,
         ctx: &CtxView,
         instance: &Instance,
-        counters: Option<&PlannerCounters>,
+        counters: &PlannerCounters,
     ) -> Arc<ExtensionPlan> {
         let minimized = &self.classification.minimized;
         // Intern every base relation up front: the epoch read below is then
@@ -226,24 +199,19 @@ impl UcqEngine {
         let epoch = ctx.stats_epoch();
         if let Some(cached) = ctx.cached_plan(fingerprint, epoch) {
             if let Ok(plan) = cached.downcast::<ExtensionPlan>() {
-                if let Some(c) = counters {
-                    c.plan_cache_hits.set(c.plan_cache_hits.get() + 1);
-                }
+                counters.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
                 return plan;
             }
         }
-        if let Some(c) = counters {
-            c.plans_searched.set(c.plans_searched.get() + 1);
-        }
+        counters.plans_searched.fetch_add(1, Ordering::Relaxed);
         let search = self
             .costed
             .get_or_init(|| CostedSearch::prepare(minimized, &self.cfg));
         let plan = match search.as_ref().map(|s| s.plan(instance, ctx)) {
             Some(costed) => {
-                if let Some(c) = counters {
-                    c.candidates_costed
-                        .set(c.candidates_costed.get() + costed.candidates_costed);
-                }
+                counters
+                    .candidates_costed
+                    .fetch_add(costed.candidates_costed, Ordering::Relaxed);
                 Arc::new(costed.plan)
             }
             None => {
@@ -274,7 +242,7 @@ impl UcqEngine {
             engine: self,
             instance: instance.clone(),
             ctx: ctx.clone(),
-            prepared: RefCell::new(None),
+            prepared: OnceLock::new(),
             planner: PlannerCounters::default(),
         }
     }
@@ -284,39 +252,98 @@ impl UcqEngine {
         evaluate_ucq_naive_in(&self.classification.minimized, instance, &CtxView::new())
     }
 
-    /// `Decide⟨Q⟩`: whether the union has at least one answer. For unions
-    /// of free-connex members this is a pure preprocessing question (each
-    /// member's CDY `decide()` after its linear pass); otherwise it asks
-    /// the chosen enumeration strategy for a first answer.
+    /// `Decide⟨Q⟩`: whether the union has at least one answer. Under
+    /// Algorithm 1 this is a pure preprocessing question (each member's CDY
+    /// `decide()` after its linear pass); otherwise it asks the chosen
+    /// enumeration strategy for a first answer.
     pub fn decide(&self, instance: &Instance) -> Result<bool, EvalError> {
         let ctx = CtxView::new();
-        let minimized = &self.classification.minimized;
-        if minimized
-            .cqs()
-            .iter()
-            .all(|cq| matches!(crate::classify::cq_status(cq), CqStatus::FreeConnex))
-        {
-            for cq in minimized.cqs() {
-                if CdyEngine::for_query_in(cq, instance, &ctx)?.decide() {
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-        let mut ans = self.enumerate_in(&ctx, instance)?;
-        Ok(ans.next().is_some())
+        Ok(Prepared::build(self, instance, &ctx, &PlannerCounters::default())?.decide(&ctx))
     }
 }
 
-/// The per-strategy preprocessed state an [`EvalSession`] caches.
+/// The preprocessed state of one strategy: built once (the linear pass),
+/// then started any number of times, each start handing out fresh cursors.
+/// Cloning shares the engines and the answer rows.
+#[derive(Clone)]
 enum Prepared {
     /// Per-member CDY engines (Algorithm 1 restarts enumerators off them).
     Algorithm1(Vec<Arc<CdyEngine>>),
     /// The Theorem 12 prep: materializations folded into member engines.
     Union(UcqPipelinePrep),
-    /// Naive fallback has no reusable enumeration structure beyond the
-    /// context caches themselves.
-    Naive,
+    /// The naive answer table, materialized once; each start replays it.
+    Naive(IdVecEnumerator),
+}
+
+impl Prepared {
+    /// Runs `engine`'s strategy's linear preprocessing over `instance`
+    /// through `ctx`, counting plan searches and cache hits into `counters`.
+    fn build(
+        engine: &UcqEngine,
+        instance: &Instance,
+        ctx: &CtxView,
+        counters: &PlannerCounters,
+    ) -> Result<Prepared, EvalError> {
+        let minimized = &engine.classification.minimized;
+        Ok(match engine.strategy() {
+            Strategy::Algorithm1 => {
+                Prepared::Algorithm1(Algorithm1::member_engines(minimized, instance, ctx)?)
+            }
+            Strategy::UnionExtension => {
+                let plan = engine.executable_plan(ctx, instance, counters);
+                Prepared::Union(UcqPipelinePrep::prepare(minimized, &plan, instance, ctx)?)
+            }
+            Strategy::Naive => {
+                let table = evaluate_ucq_naive_ids_in(minimized, instance, ctx)?;
+                Prepared::Naive(IdVecEnumerator::new(table.width, table.data, table.n_rows))
+            }
+        })
+    }
+
+    /// Starts one enumeration. The engines carry their own view; `ctx`
+    /// decodes the naive table's ids.
+    fn start(&self, ctx: &CtxView) -> UcqAnswers {
+        let (strategy, inner): (Strategy, Box<dyn Enumerator + Send>) = match self {
+            Prepared::Algorithm1(engines) => (
+                Strategy::Algorithm1,
+                Box::new(Algorithm1::from_engines(engines.clone())),
+            ),
+            Prepared::Union(prep) => (Strategy::UnionExtension, Box::new(prep.start())),
+            Prepared::Naive(rows) => (
+                Strategy::Naive,
+                Box::new(IdDecoder::new(rows.clone(), ctx.clone())),
+            ),
+        };
+        UcqAnswers { strategy, inner }
+    }
+
+    /// `Decide⟨Q⟩` without repeating any preprocessing.
+    fn decide(&self, ctx: &CtxView) -> bool {
+        match self {
+            Prepared::Algorithm1(engines) => engines.iter().any(|e| e.decide()),
+            Prepared::Union(_) => self.start(ctx).next().is_some(),
+            Prepared::Naive(rows) => rows.n_rows() > 0,
+        }
+    }
+
+    /// Points the prepared engines at `view` (the freeze step). An engine
+    /// still pinned elsewhere — by a live enumerator, or by the previous
+    /// epoch after a refreeze — keeps its view; that is still correct, as
+    /// both views share one dictionary lineage.
+    fn retarget(&mut self, view: &CtxView) {
+        match self {
+            Prepared::Algorithm1(engines) => {
+                for eng in engines {
+                    if let Some(e) = Arc::get_mut(eng) {
+                        e.set_view(view.clone());
+                    }
+                }
+            }
+            Prepared::Union(prep) => prep.retarget(view),
+            // The table is decoded through the view `start` is given.
+            Prepared::Naive(_) => {}
+        }
+    }
 }
 
 /// A pinned `(classified query, instance)` pair with persistent caches —
@@ -341,7 +368,7 @@ pub struct EvalSession<'e> {
     engine: &'e UcqEngine,
     instance: Instance,
     ctx: CtxView,
-    prepared: RefCell<Option<Prepared>>,
+    prepared: OnceLock<Prepared>,
     planner: PlannerCounters,
 }
 
@@ -367,72 +394,27 @@ impl EvalSession<'_> {
         self.planner.snapshot()
     }
 
-    fn ensure_prepared(&self) -> Result<(), EvalError> {
-        if self.prepared.borrow().is_some() {
-            return Ok(());
+    /// The memoized preprocessing, built on first use. (Racing first calls
+    /// may each build; the context caches make the loser cheap, and one
+    /// result is kept.)
+    fn prepared(&self) -> Result<&Prepared, EvalError> {
+        if let Some(prepared) = self.prepared.get() {
+            return Ok(prepared);
         }
-        let minimized = &self.engine.classification.minimized;
-        let prep = match self.engine.strategy() {
-            Strategy::Algorithm1 => Prepared::Algorithm1(Algorithm1::member_engines(
-                minimized,
-                &self.instance,
-                &self.ctx,
-            )?),
-            Strategy::UnionExtension => {
-                let plan =
-                    self.engine
-                        .executable_plan(&self.ctx, &self.instance, Some(&self.planner));
-                Prepared::Union(UcqPipelinePrep::prepare(
-                    minimized,
-                    &plan,
-                    &self.instance,
-                    &self.ctx,
-                )?)
-            }
-            Strategy::Naive => Prepared::Naive,
-        };
-        *self.prepared.borrow_mut() = Some(prep);
-        Ok(())
+        let prepared = Prepared::build(self.engine, &self.instance, &self.ctx, &self.planner)?;
+        Ok(self.prepared.get_or_init(|| prepared))
     }
 
     /// Starts an enumeration. The first call performs the linear
     /// preprocessing; subsequent calls only restart enumeration cursors.
     pub fn enumerate(&self) -> Result<UcqAnswers, EvalError> {
-        self.ensure_prepared()?;
-        let prepared = self.prepared.borrow();
-        match prepared.as_ref().expect("just prepared") {
-            Prepared::Algorithm1(engines) => Ok(UcqAnswers {
-                strategy: Strategy::Algorithm1,
-                inner: Box::new(Algorithm1::from_engines(engines.clone())),
-            }),
-            Prepared::Union(prep) => Ok(UcqAnswers {
-                strategy: Strategy::UnionExtension,
-                inner: Box::new(prep.start()),
-            }),
-            Prepared::Naive => Ok(UcqAnswers {
-                strategy: Strategy::Naive,
-                inner: Box::new(naive_id_answers(
-                    &self.engine.classification.minimized,
-                    &self.instance,
-                    &self.ctx,
-                )?),
-            }),
-        }
+        Ok(self.prepared()?.start(&self.ctx))
     }
 
     /// `Decide⟨Q⟩` against the pinned instance, reusing the session's
-    /// preprocessed engines when available.
+    /// preprocessing.
     pub fn decide(&self) -> Result<bool, EvalError> {
-        self.ensure_prepared()?;
-        let prepared = self.prepared.borrow();
-        match prepared.as_ref().expect("just prepared") {
-            Prepared::Algorithm1(engines) => Ok(engines.iter().any(|e| e.decide())),
-            _ => {
-                drop(prepared);
-                let mut ans = self.enumerate()?;
-                Ok(ans.next().is_some())
-            }
-        }
+        Ok(self.prepared()?.decide(&self.ctx))
     }
 }
 
@@ -444,62 +426,22 @@ impl<'e> EvalSession<'e> {
     /// `Send + Sync`: N threads can call [`FrozenSession::enumerate`]
     /// concurrently, each getting its own cursors, with zero locking on
     /// the per-answer path.
-    ///
-    /// For the naive strategy the answer table is materialized here, once,
-    /// so post-freeze calls replay it instead of re-joining (and the ids
-    /// land below the frozen watermark).
-    pub fn freeze(self) -> Result<FrozenSession<'e>, EvalError> {
-        self.ensure_prepared()?;
-        let minimized = &self.engine.classification.minimized;
-        let naive_table = match self.prepared.borrow().as_ref().expect("just prepared") {
-            Prepared::Naive => Some(evaluate_ucq_naive_ids_in(
-                minimized,
-                &self.instance,
-                &self.ctx,
-            )?),
-            _ => None,
+    pub fn freeze(mut self) -> Result<FrozenSession<'e>, EvalError> {
+        let mut prepared = match self.prepared.take() {
+            Some(prepared) => prepared,
+            None => Prepared::build(self.engine, &self.instance, &self.ctx, &self.planner)?,
         };
-        let build_ctx = self.ctx.clone();
         let view = self.ctx.freeze();
-        let prepared = match self.prepared.into_inner().expect("just prepared") {
-            Prepared::Algorithm1(mut engines) => {
-                for eng in &mut engines {
-                    // A leftover live enumerator (pre-freeze `enumerate()`
-                    // stream) pins the Arc; such an engine keeps the
-                    // build-phase view — same ids, just mutex-guarded.
-                    if let Some(e) = Arc::get_mut(eng) {
-                        e.set_view(view.clone());
-                    }
-                }
-                FrozenPrepared::Algorithm1(engines)
-            }
-            Prepared::Union(mut prep) => {
-                prep.retarget(&view);
-                FrozenPrepared::Union(prep)
-            }
-            Prepared::Naive => FrozenPrepared::Naive(naive_table.expect("materialized above")),
-        };
+        prepared.retarget(&view);
         Ok(FrozenSession {
             engine: self.engine,
             instance: self.instance,
             ctx: view,
-            build_ctx,
+            build_ctx: self.ctx,
             prepared,
             planner: self.planner.snapshot(),
         })
     }
-}
-
-/// The per-strategy state a [`FrozenSession`] serves from. Unlike
-/// [`Prepared`], every variant is immutable and shareable.
-enum FrozenPrepared {
-    /// Per-member CDY engines retargeted onto the frozen snapshot.
-    Algorithm1(Vec<Arc<CdyEngine>>),
-    /// The Theorem 12 prep retargeted onto the frozen snapshot.
-    Union(UcqPipelinePrep),
-    /// The naive answer table, materialized at freeze time; enumerations
-    /// replay it.
-    Naive(IdTable),
 }
 
 /// A frozen `(classified query, instance)` session: `Send + Sync`, served
@@ -535,7 +477,7 @@ pub struct FrozenSession<'e> {
     /// dictionary lineage and snapshot the next epoch without re-interning
     /// anything the previous epoch already holds.
     build_ctx: CtxView,
-    prepared: FrozenPrepared,
+    prepared: Prepared,
     planner: PlannerStats,
 }
 
@@ -560,8 +502,8 @@ impl FrozenSession<'_> {
         self.engine.strategy()
     }
 
-    /// Planner counters accumulated by the build-phase session this
-    /// snapshot was frozen from.
+    /// Planner counters of the build-phase session this snapshot was
+    /// frozen from, plus the plan work of every refreeze since.
     pub fn planner_stats(&self) -> PlannerStats {
         self.planner
     }
@@ -571,32 +513,12 @@ impl FrozenSession<'_> {
     /// owning its cursors, dedup table and scratch, while all streams read
     /// the same frozen dictionary, relations and indexes lock-free.
     pub fn enumerate(&self) -> Result<UcqAnswers, EvalError> {
-        match &self.prepared {
-            FrozenPrepared::Algorithm1(engines) => Ok(UcqAnswers {
-                strategy: Strategy::Algorithm1,
-                inner: Box::new(Algorithm1::from_engines(engines.clone())),
-            }),
-            FrozenPrepared::Union(prep) => Ok(UcqAnswers {
-                strategy: Strategy::UnionExtension,
-                inner: Box::new(prep.start()),
-            }),
-            FrozenPrepared::Naive(table) => Ok(UcqAnswers {
-                strategy: Strategy::Naive,
-                inner: Box::new(replay_id_table(table, &self.ctx)),
-            }),
-        }
+        Ok(self.prepared.start(&self.ctx))
     }
 
     /// `Decide⟨Q⟩` against the frozen state (no preprocessing, no joins).
     pub fn decide(&self) -> Result<bool, EvalError> {
-        match &self.prepared {
-            FrozenPrepared::Algorithm1(engines) => Ok(engines.iter().any(|e| e.decide())),
-            FrozenPrepared::Naive(table) => Ok(table.n_rows > 0),
-            FrozenPrepared::Union(_) => {
-                let mut ans = self.enumerate()?;
-                Ok(ans.next().is_some())
-            }
-        }
+        Ok(self.prepared.decide(&self.ctx))
     }
 
     /// The build-phase context behind this snapshot — the write side of the
@@ -609,10 +531,10 @@ impl FrozenSession<'_> {
 
     #[cfg(test)]
     fn a1_engines(&self) -> Option<&[Arc<CdyEngine>]> {
-        match &self.prepared {
-            FrozenPrepared::Algorithm1(engines) => Some(engines),
-            _ => None,
+        if let Prepared::Algorithm1(engines) = &self.prepared {
+            return Some(engines);
         }
+        None
     }
 }
 
@@ -653,7 +575,8 @@ impl<'e> FrozenSession<'e> {
     /// * **Union extension** — an untouched union clones the prep wholesale;
     ///   otherwise the plan is re-costed (the churn ledger bumps the stats
     ///   epoch past the replan threshold, so skew flips surface here) and
-    ///   the pipeline re-prepares.
+    ///   the pipeline re-prepares. The plan work adds to
+    ///   [`FrozenSession::planner_stats`].
     /// * **Naive** — the materialized answer table is recomputed only when
     ///   touched.
     ///
@@ -661,80 +584,40 @@ impl<'e> FrozenSession<'e> {
     /// pair with [`ucq_storage::EpochCell`] to rotate live traffic.
     pub fn refreeze(&self, instance: &Instance) -> Result<FrozenSession<'e>, EvalError> {
         let minimized = &self.engine.classification.minimized;
-        if !self.touched(instance, &minimized.relation_names()) {
+        let (ctx, prepared, planner) = if self.touched(instance, &minimized.relation_names()) {
+            // Rebuild touched state against the build context *before* the
+            // fold, so everything it interns, indexes, materializes or plans
+            // lands below the new epoch's watermark (no overlay traffic at
+            // serve time).
+            let planner = PlannerCounters::resume(self.planner);
+            let mut prepared = match &self.prepared {
+                Prepared::Algorithm1(engines) => {
+                    let mut next = engines.clone();
+                    for (i, cq) in minimized.cqs().iter().enumerate() {
+                        if self.touched(instance, &cq.relation_names()) {
+                            let eng = CdyEngine::for_query_in(cq, instance, &self.build_ctx)?;
+                            next[i] = Arc::new(eng);
+                        }
+                    }
+                    Prepared::Algorithm1(next)
+                }
+                _ => Prepared::build(self.engine, instance, &self.build_ctx, &planner)?,
+            };
+            let view = self.build_ctx.freeze();
+            prepared.retarget(&view);
+            (view, prepared, planner.snapshot())
+        } else {
             // Nothing the query reads changed: the next epoch *is* the
             // current one, minus the snapshot cost.
-            let prepared = match &self.prepared {
-                FrozenPrepared::Algorithm1(engines) => FrozenPrepared::Algorithm1(engines.clone()),
-                FrozenPrepared::Union(prep) => FrozenPrepared::Union(prep.clone()),
-                FrozenPrepared::Naive(table) => FrozenPrepared::Naive(table.clone()),
-            };
-            return Ok(FrozenSession {
-                engine: self.engine,
-                instance: instance.clone(),
-                ctx: self.ctx.clone(),
-                build_ctx: self.build_ctx.clone(),
-                prepared,
-                planner: self.planner,
-            });
-        }
-        // Rebuild touched state against the build context *before* taking
-        // the snapshot, so everything it interns, indexes, materializes or
-        // plans lands below the new epoch's watermark (no overlay traffic
-        // at serve time).
-        let prepared = match &self.prepared {
-            FrozenPrepared::Algorithm1(engines) => {
-                let mut rebuilt: Vec<(usize, CdyEngine)> = Vec::new();
-                let mut next = engines.clone();
-                for (i, cq) in minimized.cqs().iter().enumerate() {
-                    if self.touched(instance, &cq.relation_names()) {
-                        rebuilt.push((i, CdyEngine::for_query_in(cq, instance, &self.build_ctx)?));
-                    }
-                }
-                let view = self.build_ctx.freeze();
-                for (i, mut eng) in rebuilt {
-                    eng.set_view(view.clone());
-                    next[i] = Arc::new(eng);
-                }
-                return Ok(FrozenSession {
-                    engine: self.engine,
-                    instance: instance.clone(),
-                    ctx: view,
-                    build_ctx: self.build_ctx.clone(),
-                    prepared: FrozenPrepared::Algorithm1(next),
-                    planner: self.planner,
-                });
-            }
-            FrozenPrepared::Union(_) => {
-                let plan = self.engine.executable_plan(&self.build_ctx, instance, None);
-                FrozenPrepared::Union(UcqPipelinePrep::prepare(
-                    minimized,
-                    &plan,
-                    instance,
-                    &self.build_ctx,
-                )?)
-            }
-            FrozenPrepared::Naive(_) => FrozenPrepared::Naive(evaluate_ucq_naive_ids_in(
-                minimized,
-                instance,
-                &self.build_ctx,
-            )?),
-        };
-        let view = self.build_ctx.freeze();
-        let prepared = match prepared {
-            FrozenPrepared::Union(mut prep) => {
-                prep.retarget(&view);
-                FrozenPrepared::Union(prep)
-            }
-            other => other,
+            (self.ctx.clone(), self.prepared.clone(), self.planner)
         };
         Ok(FrozenSession {
             engine: self.engine,
             instance: instance.clone(),
-            ctx: view,
+            ctx,
             build_ctx: self.build_ctx.clone(),
             prepared,
-            planner: self.planner,
+            planner,
         })
     }
 }
@@ -789,6 +672,16 @@ mod tests {
             assert_eq!(via_session, want, "session answers for {text}");
         }
         assert_eq!(session.decide().unwrap(), !want.is_empty());
+        assert_eq!(eng.decide(i).unwrap(), !want.is_empty());
+        // Frozen, then refrozen with nothing changed: same answers, same
+        // strategy arm.
+        let frozen = session.freeze().unwrap();
+        let refrozen = frozen.refreeze(i).unwrap();
+        for f in [&frozen, &refrozen] {
+            assert_eq!(f.enumerate().unwrap().strategy(), expect);
+            assert_eq!(collect(f), want, "frozen answers for {text}");
+            assert_eq!(f.decide().unwrap(), !want.is_empty());
+        }
     }
 
     #[test]
@@ -841,19 +734,39 @@ mod tests {
 
     #[test]
     fn session_preprocesses_once() {
-        let u = parse_ucq("Q1(x, y) <- R(x, y)\nQ2(a, b) <- S(a, b)").unwrap();
-        let eng = UcqEngine::new(u);
-        let i = inst(&[("R", vec![(1, 2), (3, 4)]), ("S", vec![(3, 4)])]);
-        let session = eng.session(&i);
-        session.enumerate().unwrap();
-        let builds_after_first = session.context().stats().interned_builds;
-        session.enumerate().unwrap();
-        session.enumerate().unwrap();
-        assert_eq!(
-            session.context().stats().interned_builds,
-            builds_after_first,
-            "repeated session calls intern nothing new"
-        );
+        let arms = [
+            (
+                "Q1(x, y) <- R(x, y)\nQ2(a, b) <- S(a, b)",
+                Strategy::Algorithm1,
+            ),
+            (
+                "Q1(x, y, w) <- R(x, z), S(z, y), T(y, w)\n\
+                 Q2(x, y, w) <- R(x, y), S(y, w)",
+                Strategy::UnionExtension,
+            ),
+            ("Q(x, y) <- R(x, z), S(z, y)", Strategy::Naive),
+        ];
+        let i = inst(&[
+            ("R", vec![(1, 2), (3, 4)]),
+            ("S", vec![(2, 3), (3, 4)]),
+            ("T", vec![(3, 5), (4, 6)]),
+        ]);
+        for (text, expect) in arms {
+            let eng = UcqEngine::new(parse_ucq(text).unwrap());
+            assert_eq!(eng.strategy(), expect, "strategy for {text}");
+            let session = eng.session(&i);
+            let first = session.enumerate().unwrap().collect_all();
+            let after_first = session.context().stats();
+            for _ in 0..2 {
+                assert_eq!(session.enumerate().unwrap().collect_all(), first);
+                assert!(session.decide().unwrap());
+                assert_eq!(
+                    session.context().stats(),
+                    after_first,
+                    "repeated {expect:?} session calls build and probe nothing new"
+                );
+            }
+        }
     }
 
     #[test]
@@ -993,6 +906,52 @@ mod tests {
         let new = next.a1_engines().unwrap();
         assert!(!Arc::ptr_eq(&old[0], &new[0]), "touched member rebuilt");
         assert!(Arc::ptr_eq(&old[1], &new[1]), "untouched member shared");
+    }
+
+    #[test]
+    fn refreeze_counts_its_planner_work() {
+        let text = "Q1(x, y, w) <- R1(x, z), R2(z, y), R3(y, w)\n\
+                    Q2(x, y, w) <- R1(x, y), R2(y, w)";
+        let eng = UcqEngine::new(parse_ucq(text).unwrap());
+        assert_eq!(eng.strategy(), Strategy::UnionExtension);
+        let i = inst(&[
+            ("R1", (0..20).map(|k| (k, k + 1)).collect()),
+            ("R2", (0..20).map(|k| (k + 1, k + 2)).collect()),
+            ("R3", (0..20).map(|k| (k + 2, k + 3)).collect()),
+        ]);
+        let mut frozen = eng.session(&i).freeze().unwrap();
+        let built = frozen.planner_stats();
+        assert_eq!((built.plans_searched, built.plan_cache_hits), (1, 0));
+        let mut current = i;
+        // Two one-row deltas stay under the 25% churn threshold: the stats
+        // epoch holds, so each refreeze reuses the cached plan.
+        for k in 0..2 {
+            let delta = Relation::from_pairs([(100 + k, 1)]);
+            let r1 = frozen
+                .build_context()
+                .insert_rows(&current.get_shared("R1").unwrap(), &delta);
+            current = current.with_relation_shared("R1", r1);
+            frozen = frozen.refreeze(&current).unwrap();
+            assert_eq!(collect(&frozen), naive_set(text, &current));
+        }
+        let p = frozen.planner_stats();
+        assert_eq!(
+            p.plan_cache_hits, 2,
+            "each small refreeze hits the plan cache"
+        );
+        assert_eq!(p.plans_searched, 1);
+        // A delta far past the threshold bumps the epoch: a fresh search.
+        let delta = Relation::from_pairs((0..40).map(|k| (k % 3, k + 50)));
+        let r2 = frozen
+            .build_context()
+            .insert_rows(&current.get_shared("R2").unwrap(), &delta);
+        current = current.with_relation_shared("R2", r2);
+        let next = frozen.refreeze(&current).unwrap();
+        assert_eq!(collect(&next), naive_set(text, &current));
+        let q = next.planner_stats();
+        assert_eq!(q.plans_searched, 2, "churned stats force a re-search");
+        assert_eq!(q.plan_cache_hits, 2);
+        assert!(q.candidates_costed > p.candidates_costed);
     }
 
     #[test]

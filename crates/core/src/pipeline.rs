@@ -20,8 +20,9 @@
 //! The preprocessing phase is reified as [`UcqPipelinePrep`]: all member
 //! engines share one context view (so the base relations are interned
 //! and normalized once for the whole union), and a prep can
-//! [`start`](UcqPipelinePrep::start) any number of enumerations — this is
-//! what [`EvalSession`](crate::engine::EvalSession) caches to serve
+//! [`start`](UcqPipelinePrep::start) any number of enumerations — a single
+//! run is `UcqPipelinePrep::prepare(..)?.start()`, and
+//! [`EvalSession`](crate::engine::EvalSession) caches the prep to serve
 //! repeated queries without redoing linear preprocessing.
 
 use crate::lemma8::materialize_atom_in;
@@ -38,19 +39,15 @@ use ucq_yannakakis::{CdyEngine, EvalError, OwnedCdyIter};
 /// materialized virtual relations folded into per-member CDY engines, ready
 /// to start enumerations.
 ///
-/// Cloning is cheap (the member engines are shared `Arc`s; the early-answer
-/// ids are one flat memcpy) — `FrozenSession::refreeze` clones the prep
-/// wholesale when no relation it reads was touched by a delta.
+/// Cloning is cheap (the member engines and the early-answer rows are
+/// shared `Arc`s) — `FrozenSession::refreeze` clones the prep wholesale
+/// when no relation it reads was touched by a delta.
 #[derive(Clone)]
 pub struct UcqPipelinePrep {
     /// Provider answers emitted during materialization (Lemma 8's output
-    /// charging), as flat id rows; replayed at the head of every
-    /// enumeration without decoding.
-    early_ids: Vec<ValueId>,
-    /// Number of early answers (authoritative for Boolean unions).
-    n_early: usize,
-    /// Ids per answer (the union's head arity).
-    arity: usize,
+    /// charging), as flat id rows of the union's head arity; replayed at
+    /// the head of every enumeration without decoding.
+    early: IdVecEnumerator,
     /// One preprocessed engine per member's free-connex extension.
     engines: Vec<Arc<CdyEngine>>,
     /// Lemma 5 duplication budget.
@@ -101,9 +98,7 @@ impl UcqPipelinePrep {
         // once per materialization (Lemma 5's m).
         let budget = ucq.len() + plan.atoms.len() + 1;
         Ok(UcqPipelinePrep {
-            early_ids,
-            n_early,
-            arity,
+            early: IdVecEnumerator::new(arity, early_ids, n_early),
             engines,
             budget,
             materialized_sizes,
@@ -125,17 +120,14 @@ impl UcqPipelinePrep {
         }
     }
 
-    /// Starts one enumeration over the preprocessed state. Starting is
-    /// O(answers already emitted during materialization) — one flat memcpy
-    /// of the early id rows; no linear pass is repeated.
+    /// Starts one enumeration over the preprocessed state: fresh cursors
+    /// over the shared early rows and member engines; no linear pass is
+    /// repeated.
     pub fn start(&self) -> UcqPipeline {
+        let arity = IdEnumerator::arity(&self.early);
         let mut stages: Vec<Box<dyn IdEnumerator + Send>> =
             Vec::with_capacity(self.engines.len() + 1);
-        stages.push(Box::new(IdVecEnumerator::new(
-            self.arity,
-            self.early_ids.clone(),
-            self.n_early,
-        )));
+        stages.push(Box::new(self.early.clone()));
         for eng in &self.engines {
             stages.push(Box::new(OwnedCdyIter::new(Arc::clone(eng))));
         }
@@ -143,10 +135,10 @@ impl UcqPipelinePrep {
             // The early answers are genuine distinct outputs, so their
             // count is a free lower bound for the dedup table.
             inner: Cheater::with_capacity_hint(
-                IdChainEnumerator::new(self.arity, stages),
+                IdChainEnumerator::new(arity, stages),
                 self.budget,
                 self.ctx.clone(),
-                self.n_early,
+                self.early.n_rows(),
             ),
             materialized_sizes: self.materialized_sizes.clone(),
         }
@@ -162,27 +154,6 @@ pub struct UcqPipeline {
 }
 
 impl UcqPipeline {
-    /// Preprocesses and starts a single enumeration with a private context.
-    /// Prefer [`UcqPipelinePrep`] (or the engine's session API) when
-    /// enumerating repeatedly.
-    pub fn build(
-        ucq: &Ucq,
-        plan: &ExtensionPlan,
-        instance: &Instance,
-    ) -> Result<UcqPipeline, EvalError> {
-        UcqPipeline::build_in(ucq, plan, instance, &CtxView::new())
-    }
-
-    /// As [`UcqPipeline::build`], sharing the caches of `ctx`.
-    pub fn build_in(
-        ucq: &Ucq,
-        plan: &ExtensionPlan,
-        instance: &Instance,
-        ctx: &CtxView,
-    ) -> Result<UcqPipeline, EvalError> {
-        Ok(UcqPipelinePrep::prepare(ucq, plan, instance, ctx)?.start())
-    }
-
     /// Dedup/pacing statistics of the underlying Cheater compiler.
     pub fn stats(&self) -> CheaterStats {
         self.inner.stats()
@@ -232,7 +203,9 @@ mod tests {
     fn run_pipeline(text: &str, i: &Instance) -> (Vec<Tuple>, Vec<Tuple>) {
         let u = parse_ucq(text).unwrap();
         let plan = plan_free_connex(&u, &SearchConfig::default()).expect("free-connex");
-        let mut p = UcqPipeline::build(&u, &plan, i).unwrap();
+        let mut p = UcqPipelinePrep::prepare(&u, &plan, i, &CtxView::new())
+            .unwrap()
+            .start();
         let got = p.collect_all();
         let s = p.stats();
         assert_eq!(s.decoded, s.emitted, "decode exactly once per emission");

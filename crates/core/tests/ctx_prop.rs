@@ -6,10 +6,10 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use ucq_core::{plan_free_connex, SearchConfig, UcqEngine, UcqPipeline};
+use ucq_core::{plan_free_connex, SearchConfig, UcqEngine, UcqPipelinePrep};
 use ucq_enumerate::Enumerator;
 use ucq_query::{Cq, Ucq};
-use ucq_storage::{Instance, Relation, Tuple, Value};
+use ucq_storage::{CtxView, Instance, Relation, Tuple, Value};
 
 const VARS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
 
@@ -238,7 +238,7 @@ proptest! {
                 break;
             }
         }
-        let built = UcqPipeline::build(&u, &plan, &inst);
+        let built = UcqPipelinePrep::prepare(&u, &plan, &inst, &CtxView::new()).map(|p| p.start());
         if !schema_ok {
             prop_assert!(built.is_err(), "arity clash must error on the id spine");
             return Ok(());
@@ -306,7 +306,6 @@ proptest! {
     #[test]
     fn costed_plan_matches_first_found_and_oracle((u, inst) in ucq_and_instance()) {
         use ucq_core::plan_free_connex_costed;
-        use ucq_storage::CtxView;
 
         let cfg = SearchConfig::default();
         let first = plan_free_connex(&u, &cfg);
@@ -327,8 +326,8 @@ proptest! {
                 break;
             }
         }
-        let via_first = UcqPipeline::build_in(&u, &first, &inst, &ctx);
-        let via_costed = UcqPipeline::build_in(&u, &costed.plan, &inst, &ctx);
+        let via_first = UcqPipelinePrep::prepare(&u, &first, &inst, &ctx).map(|p| p.start());
+        let via_costed = UcqPipelinePrep::prepare(&u, &costed.plan, &inst, &ctx).map(|p| p.start());
         if !schema_ok {
             prop_assert!(via_first.is_err() && via_costed.is_err(), "arity clash errors on both");
             return Ok(());

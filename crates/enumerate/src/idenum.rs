@@ -18,6 +18,7 @@
 //! virtual calls and zero per-answer allocations.
 
 use crate::enumerator::Enumerator;
+use std::sync::Arc;
 use ucq_storage::{CtxView, IdBlock, Tuple, ValueId};
 
 /// Default rows per block for drains that pick their own block size.
@@ -76,11 +77,12 @@ impl IdEnumerator for Box<dyn IdEnumerator + Send> {
 
 /// Replays a pre-materialized flat id table (the id-level analogue of
 /// [`VecEnumerator`](crate::VecEnumerator)); used for the pipeline's early
-/// answers and for materialized (naive) answer sets.
+/// answers and for materialized (naive) answer sets. The rows are shared:
+/// a clone is a fresh cursor over the same table, not a copy of it.
 #[derive(Clone, Debug)]
 pub struct IdVecEnumerator {
     arity: usize,
-    ids: Vec<ValueId>,
+    ids: Arc<Vec<ValueId>>,
     n_rows: usize,
     pos: usize,
 }
@@ -92,10 +94,15 @@ impl IdVecEnumerator {
         assert_eq!(ids.len(), arity * n_rows, "partial row in flat table");
         IdVecEnumerator {
             arity,
-            ids,
+            ids: Arc::new(ids),
             n_rows,
             pos: 0,
         }
+    }
+
+    /// Rows in the table, replayed or not.
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
     }
 
     /// Wraps a flat run of positive-arity rows, inferring the row count.
