@@ -3,10 +3,12 @@
 //! path query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use std::time::Duration;
+use ucq_enumerate::{Enumerator, IdDecoder};
 use ucq_query::{parse_cq, Ucq};
 use ucq_workloads::{random_instance, InstanceSpec};
-use ucq_yannakakis::{evaluate_cq_naive, CdyEngine};
+use ucq_yannakakis::{evaluate_cq_naive, CdyEngine, OwnedCdyIter};
 
 fn bench(c: &mut Criterion) {
     let q = parse_cq("Q(x, a, b, y) <- R(x, a), S(a, b), T(b, y)").expect("path CQ");
@@ -19,8 +21,12 @@ fn bench(c: &mut Criterion) {
         let inst = random_instance(&u, &InstanceSpec::scaled(rows, 23));
         group.bench_with_input(BenchmarkId::new("cdy", rows), &inst, |b, inst| {
             b.iter(|| {
+                // Decoded at the value edge, like the naive arm's answers.
                 let eng = CdyEngine::for_query(&q, inst).expect("free-connex");
-                eng.iter().collect_all().len()
+                let ctx = eng.context().clone();
+                IdDecoder::new(OwnedCdyIter::new(Arc::new(eng)), ctx)
+                    .collect_all()
+                    .len()
             })
         });
         group.bench_with_input(

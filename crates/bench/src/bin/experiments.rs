@@ -8,6 +8,7 @@
 //! Output is Markdown; see DESIGN.md §3 for the experiment index.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 use ucq_bench::{engine_for, fmt_dur, fmt_ns, instance_for, run_naive, run_pipeline};
 use ucq_core::{classify, Verdict};
@@ -19,7 +20,7 @@ use ucq_reductions::{
 };
 use ucq_storage::{CtxView, Tuple, Value, ValueId};
 use ucq_workloads::{catalog, random_instance, InstanceSpec};
-use ucq_yannakakis::{evaluate_cq_naive, CdyEngine};
+use ucq_yannakakis::{evaluate_cq_naive, CdyEngine, OwnedCdyIter};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -282,6 +283,12 @@ fn e8_classifier() {
     println!();
 }
 
+/// A CDY engine's answers, decoded per block at the value edge.
+fn cdy_answers(eng: CdyEngine) -> IdDecoder<OwnedCdyIter> {
+    let ctx = eng.context().clone();
+    IdDecoder::new(OwnedCdyIter::new(Arc::new(eng)), ctx)
+}
+
 /// E9: CDY vs naive on a single free-connex CQ (Theorem 3(1)).
 fn e9_cdy_vs_naive(scale: usize) {
     println!("## E9 (CDY vs naive join on a free-connex CQ)\n");
@@ -296,7 +303,7 @@ fn e9_cdy_vs_naive(scale: usize) {
         let eng = CdyEngine::for_query(&q, &inst).expect("free-connex");
         let prep = t0.elapsed();
         let t0 = Instant::now();
-        let mut it = eng.iter();
+        let mut it = cdy_answers(eng);
         let mut delays: Vec<u64> = Vec::new();
         let mut last = Instant::now();
         let mut count = 0usize;
@@ -329,7 +336,7 @@ fn e9_cdy_vs_naive(scale: usize) {
     // Verify the deduplicated comparison: answer sets identical.
     let inst = random_instance(&u, &InstanceSpec::scaled(2_000, 5));
     let eng = CdyEngine::for_query(&q, &inst).expect("free-connex");
-    let a: HashSet<Tuple> = eng.iter().collect_all().into_iter().collect();
+    let a: HashSet<Tuple> = cdy_answers(eng).collect_all().into_iter().collect();
     let b: HashSet<Tuple> = evaluate_cq_naive(&q, &inst)
         .expect("naive")
         .into_iter()
@@ -359,8 +366,10 @@ fn e11_alg1_vs_pipeline(scale: usize) {
         let rows = 8_000 * scale * (1 << step) / 4;
         let inst = instance_for("two_free_connex", rows, 7);
         let (a1, p1) = measure(|| {
-            let engines = Algorithm1::member_engines(&entry.ucq, &inst, &CtxView::new());
-            Algorithm1::from_engines(engines.expect("alg1"))
+            // Decoded per block at the edge, as `UcqAnswers` does.
+            let ctx = CtxView::new();
+            let engines = Algorithm1::member_engines(&entry.ucq, &inst, &ctx);
+            IdDecoder::new(Algorithm1::from_engines(engines.expect("alg1")), ctx)
         });
         let (a2, p2) = measure(|| {
             let prep = UcqPipelinePrep::prepare(&entry.ucq, &plan, &inst, &CtxView::new());

@@ -17,81 +17,89 @@
 //! of `n` members nest recursively, treating the tail as one query.
 //!
 //! All member engines are built through one shared context view, so the
-//! members' preprocessing shares interned relations and normalizations, and
-//! the membership probes of line 4 run against interned ids with reused
-//! scratch buffers — no allocation per probe.
+//! members' preprocessing shares interned relations and normalizations.
+//! [`Algorithm1`] is an [`IdEnumerator`]: member answers stay interned id
+//! rows, and the line-4 probe is [`CdyEngine::contains_ids`] with one
+//! reused scratch — no decode, no dictionary lookup and no allocation per
+//! answer. Values appear only at the public edge, where the engine wraps
+//! the stream in an [`IdDecoder`](ucq_enumerate::IdDecoder) (one decode
+//! per block).
 
 use std::sync::Arc;
-use ucq_enumerate::Enumerator;
+use ucq_enumerate::IdEnumerator;
 use ucq_query::Ucq;
-use ucq_storage::{CtxView, Instance, Tuple};
+use ucq_storage::{CtxView, IdBlock, Instance, ValueId};
 use ucq_yannakakis::{CdyEngine, ContainsScratch, EvalError, OwnedCdyIter};
 
-/// Recursive union node. Each node carries a [`ContainsScratch`] for its
-/// own engine's membership probes, so the line-4 checks reuse buffers
-/// instead of allocating per answer.
+/// Recursive union node: the last member alone, or a first member
+/// interleaved with the union of the rest.
 enum Node {
-    Leaf(OwnedCdyIter, ContainsScratch),
+    Leaf(OwnedCdyIter),
     Pair {
         first: OwnedCdyIter,
-        first_scratch: ContainsScratch,
+        /// One-row block holding the first member's current answer `a`.
+        a: IdBlock,
         rest: Box<Node>,
         first_done: bool,
     },
 }
 
 impl Node {
-    fn contains(&mut self, t: &Tuple) -> bool {
+    /// Line 4: whether `row` is an answer of this (sub)union.
+    fn contains(&self, row: &[ValueId], scratch: &mut ContainsScratch) -> bool {
         match self {
-            Node::Leaf(it, scratch) => it.engine().contains_with(t, scratch),
-            Node::Pair {
-                first,
-                first_scratch,
-                rest,
-                ..
-            } => first.engine().contains_with(t, first_scratch) || rest.contains(t),
-        }
-    }
-
-    fn next(&mut self) -> Option<Tuple> {
-        match self {
-            Node::Leaf(it, _) => it.next(),
-            Node::Pair {
-                first,
-                first_scratch: _,
-                rest,
-                first_done,
-            } => {
-                while !*first_done {
-                    match first.next() {
-                        Some(a) => {
-                            if !rest.contains(&a) {
-                                return Some(a);
-                            }
-                            // Line 5: the duplicate budget pays for one
-                            // fresh answer from the rest.
-                            let b = rest.next();
-                            debug_assert!(
-                                b.is_some(),
-                                "line 5 is called at most |Q1 ∩ rest| ≤ |rest| times"
-                            );
-                            if b.is_some() {
-                                return b;
-                            }
-                            // Defensive: fall through and keep draining.
-                        }
-                        None => *first_done = true,
-                    }
-                }
-                rest.next()
+            Node::Leaf(it) => it.engine().contains_ids(row, scratch),
+            Node::Pair { first, rest, .. } => {
+                first.engine().contains_ids(row, scratch) || rest.contains(row, scratch)
             }
         }
     }
+
+    /// Appends answers to `block` until it is full or this (sub)union is
+    /// exhausted; returns the number appended.
+    fn next_block(&mut self, block: &mut IdBlock, scratch: &mut ContainsScratch) -> usize {
+        let (first, a, rest, first_done) = match self {
+            Node::Leaf(it) => return it.next_block(block),
+            Node::Pair {
+                first,
+                a,
+                rest,
+                first_done,
+            } => (first, a, rest, first_done),
+        };
+        let start = block.len();
+        while !*first_done && !block.is_full() {
+            a.clear();
+            if first.next_block(a) == 0 {
+                *first_done = true;
+                break;
+            }
+            if !rest.contains(a.row(0), scratch) {
+                block.push_row(a.row(0));
+                continue;
+            }
+            // Line 5: the duplicate pays for exactly one fresh answer from
+            // the rest.
+            let limit = block.max_rows();
+            block.set_max_rows(block.len() + 1);
+            let got = rest.next_block(block, scratch);
+            block.set_max_rows(limit);
+            debug_assert_eq!(got, 1, "line 5 runs at most |Q1 ∩ rest| ≤ |rest| times");
+        }
+        // Line 7: the rest's remaining answers.
+        if !block.is_full() {
+            rest.next_block(block, scratch);
+        }
+        block.len() - start
+    }
 }
 
-/// The Algorithm 1 enumerator.
+/// The Algorithm 1 enumerator, over interned id rows.
 pub struct Algorithm1 {
     root: Node,
+    arity: usize,
+    /// Shared by every line-4 probe, whichever member it hits.
+    scratch: ContainsScratch,
 }
 
 impl Algorithm1 {
@@ -111,28 +119,36 @@ impl Algorithm1 {
 
     /// Wires preprocessed member engines into the interleaving enumerator.
     /// The engines must come from [`Algorithm1::member_engines`] (every
-    /// member free-connex, outputs = heads).
+    /// member free-connex, outputs = heads) over one dictionary lineage.
     pub fn from_engines(engines: Vec<Arc<CdyEngine>>) -> Algorithm1 {
         let mut iters: Vec<OwnedCdyIter> = engines.into_iter().map(OwnedCdyIter::new).collect();
-        let mut node = Node::Leaf(
-            iters.pop().expect("UCQs are non-empty"),
-            ContainsScratch::default(),
-        );
+        let last = iters.pop().expect("UCQs are non-empty");
+        let arity = last.engine().output_arity();
+        let mut node = Node::Leaf(last);
         while let Some(first) = iters.pop() {
             node = Node::Pair {
                 first,
-                first_scratch: ContainsScratch::default(),
+                a: IdBlock::new(arity, 1),
                 rest: Box::new(node),
                 first_done: false,
             };
         }
-        Algorithm1 { root: node }
+        Algorithm1 {
+            root: node,
+            arity,
+            scratch: ContainsScratch::default(),
+        }
     }
 }
 
-impl Enumerator for Algorithm1 {
-    fn next(&mut self) -> Option<Tuple> {
-        self.root.next()
+impl IdEnumerator for Algorithm1 {
+    fn arity(&self) -> usize {
+        self.arity
+    }
+
+    fn next_block(&mut self, block: &mut IdBlock) -> usize {
+        debug_assert_eq!(block.arity(), self.arity);
+        self.root.next_block(block, &mut self.scratch)
     }
 }
 
@@ -141,8 +157,9 @@ mod tests {
     use super::*;
     use crate::naive_ucq::evaluate_ucq_naive_set;
     use std::collections::HashSet;
+    use ucq_enumerate::{Enumerator, IdDecoder};
     use ucq_query::parse_ucq;
-    use ucq_storage::Relation;
+    use ucq_storage::{Relation, Tuple};
 
     fn inst(rels: &[(&str, Vec<(i64, i64)>)]) -> Instance {
         rels.iter()
@@ -150,15 +167,39 @@ mod tests {
             .collect()
     }
 
+    /// Drains a fresh Algorithm 1 run, decoded at the edge.
+    fn answers(engines: &[Arc<CdyEngine>], ctx: &CtxView) -> Vec<Tuple> {
+        IdDecoder::new(Algorithm1::from_engines(engines.to_vec()), ctx.clone()).collect_all()
+    }
+
     fn check(text: &str, i: &Instance) {
         let u = parse_ucq(text).unwrap();
-        let engines = Algorithm1::member_engines(&u, i, &CtxView::new()).unwrap();
-        let mut alg = Algorithm1::from_engines(engines);
-        let got = alg.collect_all();
+        let ctx = CtxView::new();
+        let engines = Algorithm1::member_engines(&u, i, &ctx).unwrap();
+        let got = answers(&engines, &ctx);
         let set: HashSet<Tuple> = got.iter().cloned().collect();
         assert_eq!(got.len(), set.len(), "Algorithm 1 must be duplicate-free");
         let want = evaluate_ucq_naive_set(&u, i).unwrap();
         assert_eq!(set, want);
+        // Tiny blocks put line 5 and the hand-off to the rest on block
+        // boundaries; the answer sequence must not change.
+        for rows in [1, 2, 3] {
+            let mut alg = Algorithm1::from_engines(engines.clone());
+            let mut block = IdBlock::new(alg.arity(), rows);
+            let (mut ids, mut n) = (Vec::new(), 0);
+            loop {
+                block.clear();
+                match alg.next_block(&mut block) {
+                    0 => break,
+                    k => n += k,
+                }
+                ids.extend_from_slice(block.ids());
+            }
+            assert_eq!(n, got.len(), "{rows}-row blocks");
+            if alg.arity() > 0 {
+                assert_eq!(ctx.decode_rows(alg.arity(), &ids), got, "{rows}-row blocks");
+            }
+        }
     }
 
     #[test]
@@ -204,6 +245,26 @@ mod tests {
     }
 
     #[test]
+    fn repeated_head_variable_with_overlap() {
+        // Q1's answers are the diagonal (x, x); (3, 3) is also in S.
+        let i = inst(&[
+            ("R", vec![(1, 2), (3, 4), (5, 5)]),
+            ("S", vec![(3, 3), (1, 2), (6, 7)]),
+        ]);
+        check("Q1(x, x) <- R(x, y)\nQ2(a, b) <- S(a, b)", &i);
+    }
+
+    #[test]
+    fn boolean_union() {
+        let both = inst(&[("R", vec![(1, 2)]), ("S", vec![(3, 4)])]);
+        check("B1() <- R(x, y)\nB2() <- S(a, b)", &both);
+        let one = inst(&[("R", vec![]), ("S", vec![(3, 4)])]);
+        check("B1() <- R(x, y)\nB2() <- S(a, b)", &one);
+        let none = inst(&[("R", vec![]), ("S", vec![])]);
+        check("B1() <- R(x, y)\nB2() <- S(a, b)", &none);
+    }
+
+    #[test]
     fn empty_members() {
         let i = inst(&[("R", vec![]), ("S", vec![(1, 1)])]);
         check("Q1(x, y) <- R(x, y)\nQ2(a, b) <- S(a, b)", &i);
@@ -223,8 +284,8 @@ mod tests {
         let i = inst(&[("R", vec![(1, 2), (3, 4)]), ("S", vec![(3, 4), (5, 6)])]);
         let ctx = CtxView::new();
         let engines = Algorithm1::member_engines(&u, &i, &ctx).unwrap();
-        let a = Algorithm1::from_engines(engines.clone()).collect_all();
-        let b = Algorithm1::from_engines(engines).collect_all();
+        let a = answers(&engines, &ctx);
+        let b = answers(&engines, &ctx);
         assert_eq!(a.len(), 3);
         assert_eq!(a, b);
     }

@@ -24,7 +24,7 @@
 use crate::algorithm1::Algorithm1;
 use crate::classify::{classify_with, Classification, CqStatus, Verdict};
 use crate::cost::CostedSearch;
-use crate::naive_ucq::{evaluate_ucq_naive_ids_in, evaluate_ucq_naive_in};
+use crate::naive_ucq::{evaluate_ucq_naive, evaluate_ucq_naive_ids_in};
 use crate::pipeline::UcqPipelinePrep;
 use crate::plan::ExtensionPlan;
 use crate::search::SearchConfig;
@@ -249,7 +249,7 @@ impl UcqEngine {
 
     /// Forces the naive strategy (baseline for experiments).
     pub fn enumerate_naive(&self, instance: &Instance) -> Result<Vec<Tuple>, EvalError> {
-        evaluate_ucq_naive_in(&self.classification.minimized, instance, &CtxView::new())
+        evaluate_ucq_naive(&self.classification.minimized, instance)
     }
 
     /// `Decide⟨Q⟩`: whether the union has at least one answer. Under
@@ -300,13 +300,18 @@ impl Prepared {
         })
     }
 
-    /// Starts one enumeration. The engines carry their own view; `ctx`
-    /// decodes the naive table's ids.
+    /// Starts one enumeration. The union arm decodes each answer at the
+    /// Cheater's release; the Algorithm 1 and naive arms stay on ids and
+    /// decode per block through `ctx` (see DESIGN.md, "Where answers
+    /// become values").
     fn start(&self, ctx: &CtxView) -> UcqAnswers {
         let (strategy, inner): (Strategy, Box<dyn Enumerator + Send>) = match self {
             Prepared::Algorithm1(engines) => (
                 Strategy::Algorithm1,
-                Box::new(Algorithm1::from_engines(engines.clone())),
+                Box::new(IdDecoder::new(
+                    Algorithm1::from_engines(engines.clone()),
+                    ctx.clone(),
+                )),
             ),
             Prepared::Union(prep) => (Strategy::UnionExtension, Box::new(prep.start())),
             Prepared::Naive(rows) => (
@@ -873,13 +878,16 @@ mod tests {
         evaluate_ucq_naive_set(&parse_ucq(text).unwrap(), i).unwrap()
     }
 
+    /// Drains `ans`, asserting it emits no answer twice.
+    fn drain(ans: &mut UcqAnswers) -> HashSet<Tuple> {
+        let all = ans.collect_all();
+        let set: HashSet<Tuple> = all.iter().cloned().collect();
+        assert_eq!(all.len(), set.len(), "duplicate answers");
+        set
+    }
+
     fn collect(frozen: &FrozenSession<'_>) -> HashSet<Tuple> {
-        frozen
-            .enumerate()
-            .unwrap()
-            .collect_all()
-            .into_iter()
-            .collect()
+        drain(&mut frozen.enumerate().unwrap())
     }
 
     #[test]
@@ -891,10 +899,13 @@ mod tests {
         let frozen = eng.session(&i).freeze().unwrap();
         assert_eq!(collect(&frozen), naive_set(text, &i));
 
-        // Delta into R only; S keeps its Arc identity.
-        let r2 = frozen
-            .build_context()
-            .insert_rows(&i.get_shared("R").unwrap(), &Relation::from_pairs([(3, 4)]));
+        // Delta into R only; S keeps its Arc identity. (5, 6) is already in
+        // S, so Algorithm 1's line-4 probe must find the rebuilt R member's
+        // ids in the reused S engine, which keeps the old epoch's view.
+        let r2 = frozen.build_context().insert_rows(
+            &i.get_shared("R").unwrap(),
+            &Relation::from_pairs([(3, 4), (5, 6)]),
+        );
         let i2 = i.with_relation_shared("R", r2);
         let next = frozen.refreeze(&i2).unwrap();
         assert_eq!(collect(&next), naive_set(text, &i2));
@@ -906,6 +917,55 @@ mod tests {
         let new = next.a1_engines().unwrap();
         assert!(!Arc::ptr_eq(&old[0], &new[0]), "touched member rebuilt");
         assert!(Arc::ptr_eq(&old[1], &new[1]), "untouched member shared");
+    }
+
+    #[test]
+    fn live_stream_across_freeze_mixes_views() {
+        let text = "Q1(x, y) <- R(x, y)\nQ2(a, b) <- S(a, b)";
+        let eng = UcqEngine::new(parse_ucq(text).unwrap());
+        assert_eq!(eng.strategy(), Strategy::Algorithm1);
+        // More answers than one decode block, so the live stream still
+        // pulls from its member engines after the freeze.
+        let i = inst(&[
+            ("R", (0..600).map(|k| (k, k + 1)).collect()),
+            ("S", (300..900).map(|k| (k, k + 1)).collect()),
+        ]);
+        let session = eng.session(&i);
+        let mut live = session.enumerate().unwrap();
+        let mut old_answers: HashSet<Tuple> = live.next().into_iter().collect();
+        // The live stream pins every member engine: the freeze cannot
+        // retarget them, so they keep the build-phase view.
+        let frozen = session.freeze().unwrap();
+        assert!(frozen
+            .a1_engines()
+            .unwrap()
+            .iter()
+            .all(|e| !e.context().is_frozen()));
+        // Delta into R with a row S already holds: R's member is rebuilt
+        // and retargeted onto the new snapshot, S's stays pinned to the
+        // build view — the next epoch mixes the two.
+        let r2 = frozen.build_context().insert_rows(
+            &i.get_shared("R").unwrap(),
+            &Relation::from_pairs([(800, 801), (5000, 5001)]),
+        );
+        let i2 = i.with_relation_shared("R", r2);
+        let next = frozen.refreeze(&i2).unwrap();
+        let engines = next.a1_engines().unwrap();
+        assert!(
+            engines[0].context().is_frozen(),
+            "rebuilt member retargeted"
+        );
+        assert!(
+            !engines[1].context().is_frozen(),
+            "pinned member keeps its view"
+        );
+        assert_eq!(collect(&next), naive_set(text, &i2));
+        // The stream started before the freeze finishes on the old instance.
+        let rest = drain(&mut live);
+        assert!(rest.is_disjoint(&old_answers), "no answer emitted twice");
+        old_answers.extend(rest);
+        assert_eq!(old_answers, naive_set(text, &i));
+        assert_eq!(collect(&frozen), naive_set(text, &i));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::plan::PlannedAtom;
 use std::sync::Arc;
 use ucq_query::{Atom, Ucq, VarId};
 use ucq_storage::{CtxView, IdRel, IdSet, Relation, Tuple, ValueId};
-use ucq_yannakakis::{CdyEngine, EvalError};
+use ucq_yannakakis::{CdyEngine, EvalError, OwnedCdyIter};
 
 /// Connex bindings extended (and translated) per block; see
 /// [`CdyEngine::extend_full_block`].
@@ -126,7 +126,7 @@ pub fn materialize_atom_in(
     let mut row: Vec<ValueId> = Vec::with_capacity(preimages.len());
     let head = provider.head().to_vec();
 
-    let mut it = eng.iter();
+    let mut it = OwnedCdyIter::new(Arc::new(eng));
     let mut block: Vec<ValueId> = Vec::with_capacity(EXTEND_BLOCK * w);
     let mut n_answers = 0usize;
     loop {
@@ -139,7 +139,7 @@ pub fn materialize_atom_in(
             break;
         }
         n_answers += pulled;
-        eng.extend_full_block(&mut block);
+        it.engine().extend_full_block(&mut block);
         for b in 0..pulled {
             let binding = &block[b * w..(b + 1) * w];
             // Emit the provider answer μ|free(Q_j).

@@ -12,8 +12,8 @@
 //! * [`UcqEngine`] — classify once, evaluate many instances: Algorithm 1
 //!   for unions of free-connex CQs, the Theorem 12 union-extension
 //!   pipeline otherwise, naive fallback outside `DelayClin`;
-//! * [`plan_free_connex`] / [`UcqPipeline`] — the executable free-connex
-//!   certificates;
+//! * [`plan_free_connex`] / [`UcqPipelinePrep`] — the executable
+//!   free-connex certificates;
 //! * [`provides`] / [`search`] — Definition 7's provided variable sets and
 //!   the fixpoint over union extensions (Definition 10/11);
 //! * [`guards`] — Definitions 23/32/34 (free-path/bypass guards, union
@@ -48,10 +48,8 @@ pub use cost::{plan_free_connex_costed, CostModel, CostedPlan, CostedSearch};
 pub use engine::{EvalSession, FrozenSession, PlannerStats, Strategy, UcqAnswers, UcqEngine};
 pub use fd::{extend_instance, fd_extend_cq, fd_extend_ucq, Fd, FdExtension, FdSet};
 pub use fd_engine::{FdAnswers, FdSession, FdUcqEngine};
-pub use naive_ucq::{
-    evaluate_ucq_naive, evaluate_ucq_naive_ids_in, evaluate_ucq_naive_in, evaluate_ucq_naive_set,
-};
-pub use pipeline::{UcqPipeline, UcqPipelinePrep};
+pub use naive_ucq::{evaluate_ucq_naive, evaluate_ucq_naive_ids_in, evaluate_ucq_naive_set};
+pub use pipeline::UcqPipelinePrep;
 pub use plan::{plan_free_connex, ExtensionPlan, PlannedAtom};
 pub use provides::{compute_availability, compute_availability_all, Availability, Provenance};
 pub use request::{RequestError, Served};

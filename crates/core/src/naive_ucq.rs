@@ -13,11 +13,18 @@ use ucq_storage::{CtxView, FastSet, InlineKey, Instance, Tuple, ValueId};
 use ucq_yannakakis::{evaluate_cq_naive_ids_in, EvalError, IdTable};
 
 /// Evaluates `Q(I)` by materializing every member and deduplicating. All
-/// members share one context view, so atoms with equal shapes over the
-/// same relation — within a member or across members — share normalized
-/// data and join indexes.
+/// members share one private context view, so atoms with equal shapes over
+/// the same relation — within a member or across members — share
+/// normalized data and join indexes. Answers are decoded once, at this
+/// boundary.
 pub fn evaluate_ucq_naive(ucq: &Ucq, instance: &Instance) -> Result<Vec<Tuple>, EvalError> {
-    evaluate_ucq_naive_in(ucq, instance, &CtxView::new())
+    let ctx = CtxView::new();
+    let table = evaluate_ucq_naive_ids_in(ucq, instance, &ctx)?;
+    if table.width == 0 {
+        // Boolean union: at most the single empty answer survives dedup.
+        return Ok(vec![Tuple::empty(); table.n_rows]);
+    }
+    Ok(ctx.decode_rows(table.width, &table.data))
 }
 
 /// Evaluates the union on the id layer: per-member batched-probe joins,
@@ -48,21 +55,6 @@ pub fn evaluate_ucq_naive_ids_in(
         n_rows,
         data: union,
     })
-}
-
-/// As [`evaluate_ucq_naive`], sharing the caches of `ctx`; answers are
-/// decoded once, at this boundary.
-pub fn evaluate_ucq_naive_in(
-    ucq: &Ucq,
-    instance: &Instance,
-    ctx: &CtxView,
-) -> Result<Vec<Tuple>, EvalError> {
-    let table = evaluate_ucq_naive_ids_in(ucq, instance, ctx)?;
-    if table.width == 0 {
-        // Boolean union: at most the single empty answer survives dedup.
-        return Ok(vec![Tuple::empty(); table.n_rows]);
-    }
-    Ok(ctx.decode_rows(table.width, &table.data))
 }
 
 /// Evaluates into a set.

@@ -13,26 +13,25 @@
 //! feeds output-projected id rows straight into the chain
 //! ([`OwnedCdyIter`]'s [`IdEnumerator`] adapter), and the Cheater dedups,
 //! parks and paces interned rows. Answers are decoded to value
-//! [`Tuple`]s exactly once — at emission through the value facade — and
-//! not at all for duplicates or for id-aware callers
-//! ([`UcqPipeline::next_ids`]).
+//! [`Tuple`](ucq_storage::Tuple)s exactly once — at emission through the
+//! Cheater's value-level `next` — and not at all for duplicates or for
+//! id-aware callers ([`Cheater::next_ids`]).
 //!
 //! The preprocessing phase is reified as [`UcqPipelinePrep`]: all member
 //! engines share one context view (so the base relations are interned
 //! and normalized once for the whole union), and a prep can
 //! [`start`](UcqPipelinePrep::start) any number of enumerations — a single
-//! run is `UcqPipelinePrep::prepare(..)?.start()`, and
+//! run is `UcqPipelinePrep::prepare(..)?.start()`, a
+//! [`Cheater`] over the chained stages — and
 //! [`EvalSession`](crate::engine::EvalSession) caches the prep to serve
 //! repeated queries without redoing linear preprocessing.
 
 use crate::lemma8::materialize_atom_in;
 use crate::plan::ExtensionPlan;
 use std::sync::Arc;
-use ucq_enumerate::{
-    Cheater, CheaterStats, Enumerator, IdChainEnumerator, IdEnumerator, IdVecEnumerator,
-};
+use ucq_enumerate::{Cheater, IdChainEnumerator, IdEnumerator, IdVecEnumerator};
 use ucq_query::Ucq;
-use ucq_storage::{CtxView, IdBlock, Instance, Tuple, ValueId};
+use ucq_storage::{CtxView, Instance, ValueId};
 use ucq_yannakakis::{CdyEngine, EvalError, OwnedCdyIter};
 
 /// The preprocessed (linear-phase) state of the Theorem 12 pipeline:
@@ -121,9 +120,9 @@ impl UcqPipelinePrep {
     }
 
     /// Starts one enumeration over the preprocessed state: fresh cursors
-    /// over the shared early rows and member engines; no linear pass is
-    /// repeated.
-    pub fn start(&self) -> UcqPipeline {
+    /// over the shared early rows and member engines, chained under a fresh
+    /// Cheater (Lemma 5); no linear pass is repeated.
+    pub fn start(&self) -> Cheater<IdChainEnumerator> {
         let arity = IdEnumerator::arity(&self.early);
         let mut stages: Vec<Box<dyn IdEnumerator + Send>> =
             Vec::with_capacity(self.engines.len() + 1);
@@ -131,56 +130,14 @@ impl UcqPipelinePrep {
         for eng in &self.engines {
             stages.push(Box::new(OwnedCdyIter::new(Arc::clone(eng))));
         }
-        UcqPipeline {
-            // The early answers are genuine distinct outputs, so their
-            // count is a free lower bound for the dedup table.
-            inner: Cheater::with_capacity_hint(
-                IdChainEnumerator::new(arity, stages),
-                self.budget,
-                self.ctx.clone(),
-                self.early.n_rows(),
-            ),
-            materialized_sizes: self.materialized_sizes.clone(),
-        }
-    }
-}
-
-/// A `DelayClin` enumerator for a free-connex UCQ: the id-level Cheater
-/// spine with a thin `Tuple`-yielding facade ([`Enumerator`]).
-pub struct UcqPipeline {
-    inner: Cheater<IdChainEnumerator>,
-    /// See [`UcqPipelinePrep::materialized_sizes`].
-    pub materialized_sizes: Vec<usize>,
-}
-
-impl UcqPipeline {
-    /// Dedup/pacing statistics of the underlying Cheater compiler.
-    pub fn stats(&self) -> CheaterStats {
-        self.inner.stats()
-    }
-
-    /// The next answer as a borrowed interned id row — the escape hatch
-    /// for id-aware callers (no decode; see [`Cheater::next_ids`]).
-    pub fn next_ids(&mut self) -> Option<&[ValueId]> {
-        self.inner.next_ids()
-    }
-}
-
-impl Enumerator for UcqPipeline {
-    fn next(&mut self) -> Option<Tuple> {
-        self.inner.next()
-    }
-}
-
-/// The pipeline is itself an id enumerator, so id-aware callers can drain
-/// it block-at-a-time (delay measurement, chained unions, benches).
-impl IdEnumerator for UcqPipeline {
-    fn arity(&self) -> usize {
-        IdEnumerator::arity(&self.inner)
-    }
-
-    fn next_block(&mut self, block: &mut IdBlock) -> usize {
-        self.inner.next_block(block)
+        // The early answers are genuine distinct outputs, so their count is
+        // a free lower bound for the dedup table.
+        Cheater::with_capacity_hint(
+            IdChainEnumerator::new(arity, stages),
+            self.budget,
+            self.ctx.clone(),
+            self.early.n_rows(),
+        )
     }
 }
 
@@ -191,8 +148,9 @@ mod tests {
     use crate::plan::plan_free_connex;
     use crate::search::SearchConfig;
     use std::collections::HashSet;
+    use ucq_enumerate::Enumerator;
     use ucq_query::parse_ucq;
-    use ucq_storage::Relation;
+    use ucq_storage::{Relation, Tuple};
 
     fn inst(rels: &[(&str, Vec<(i64, i64)>)]) -> Instance {
         rels.iter()
@@ -392,6 +350,5 @@ mod tests {
         }
         assert!(!want_sizes.is_empty(), "example 2 materializes atoms");
         assert_eq!(prep.materialized_sizes, want_sizes);
-        assert_eq!(prep.start().materialized_sizes, want_sizes);
     }
 }

@@ -126,8 +126,9 @@ impl CancelToken {
 /// Deadline, cancellation, and the block cap are checked once every
 /// `stride` answers (default [`DEFAULT_BLOCK_ROWS`], the id spine's block
 /// size), so a firing limit stops the stream within one block. The answer
-/// cap is exact: the stream reports [`Truncation::MaxAnswers`] only if at
-/// least one more answer actually existed.
+/// and block caps are exact: the stream reports [`Truncation::MaxAnswers`]
+/// or [`Truncation::MaxBlocks`] only if at least one more answer actually
+/// existed.
 pub struct Budgeted<E> {
     inner: E,
     budget: QueryBudget,
@@ -192,6 +193,18 @@ impl<E: Enumerator> Budgeted<E> {
         self.done = true;
         None
     }
+
+    /// Ends the stream at a count cap, reporting `why` only if the inner
+    /// stream really had more to give (the peeked answer is dropped).
+    fn cap(&mut self, why: Truncation) -> Option<Tuple> {
+        match self.inner.next() {
+            Some(_) => self.truncate(why),
+            None => {
+                self.done = true;
+                None
+            }
+        }
+    }
 }
 
 impl<E: Enumerator> Enumerator for Budgeted<E> {
@@ -213,22 +226,14 @@ impl<E: Enumerator> Enumerator for Budgeted<E> {
             }
             if let Some(max) = self.budget.max_blocks {
                 if self.blocks >= max {
-                    return self.truncate(Truncation::MaxBlocks);
+                    return self.cap(Truncation::MaxBlocks);
                 }
             }
             self.blocks += 1;
         }
         if let Some(max) = self.budget.max_answers {
             if self.answers >= max {
-                // Exact truncation semantics: only report MaxAnswers if
-                // the inner stream really had more to give.
-                return match self.inner.next() {
-                    Some(_) => self.truncate(Truncation::MaxAnswers),
-                    None => {
-                        self.done = true;
-                        None
-                    }
-                };
+                return self.cap(Truncation::MaxAnswers);
             }
         }
         match self.inner.next() {
@@ -247,14 +252,22 @@ impl<E: Enumerator> Enumerator for Budgeted<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerator::VecEnumerator;
 
     fn t(x: i64) -> Tuple {
         Tuple::from(&[x][..])
     }
 
-    fn stream(n: i64) -> VecEnumerator {
-        VecEnumerator::new((0..n).map(t).collect())
+    /// The answers `0..n`, one unary tuple each.
+    struct Stream(std::ops::Range<i64>);
+
+    impl Enumerator for Stream {
+        fn next(&mut self) -> Option<Tuple> {
+            self.0.next().map(t)
+        }
+    }
+
+    fn stream(n: i64) -> Stream {
+        Stream(0..n)
     }
 
     #[test]
@@ -286,6 +299,16 @@ mod tests {
         assert_eq!(b.collect_all().len(), 20);
         assert_eq!(b.truncated_by(), Some(Truncation::MaxBlocks));
         assert_eq!(b.blocks_entered(), 2);
+    }
+
+    #[test]
+    fn max_blocks_on_an_exact_fit_is_not_a_truncation() {
+        // One block of four answers, four answers: nothing was suppressed.
+        let mut b =
+            Budgeted::new(stream(4), QueryBudget::unlimited().with_max_blocks(1)).with_stride(4);
+        assert_eq!(b.collect_all().len(), 4);
+        assert_eq!(b.truncated_by(), None, "nothing was actually suppressed");
+        assert_eq!(b.next(), None, "stays exhausted");
     }
 
     #[test]

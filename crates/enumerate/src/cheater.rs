@@ -56,10 +56,9 @@ pub struct CheaterStats {
 /// Rejected [`Cheater`] configuration: Lemma 5's duplication bound `m`
 /// (the pump budget) must be at least 1.
 ///
-/// The serving runtime constructs enumerators on worker threads, where a
-/// constructor panic would burn a `catch_unwind` on a statically-known
-/// configuration mistake — [`Cheater::try_new`] surfaces it as a value
-/// instead; the panicking [`Cheater::new`] delegates to it.
+/// [`Cheater::try_new`] returns it for callers whose budget is computed at
+/// run time and who want a value rather than a panic; the panicking
+/// [`Cheater::new`] delegates to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PumpBudgetError;
 
@@ -138,14 +137,6 @@ impl<E: IdEnumerator> Cheater<E> {
             pump_budget,
             stats: CheaterStats::default(),
         })
-    }
-
-    /// Wraps with the default budget of 2 (each result produced at most
-    /// twice, as in the Theorem 12 pipeline where an answer can surface once
-    /// during provider materialization and once during its own query's
-    /// enumeration).
-    pub fn with_default_budget(inner: E, ctx: CtxView) -> Cheater<E> {
-        Cheater::new(inner, 2, ctx)
     }
 
     /// As [`Cheater::new`] with a distinct-answer cardinality hint: the

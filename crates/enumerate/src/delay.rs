@@ -162,17 +162,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerator::VecEnumerator;
-    use crate::idenum::IdVecEnumerator;
-    use ucq_storage::ValueId;
+    use crate::idenum::{IdDecoder, IdVecEnumerator};
+    use ucq_storage::{CtxView, Value, ValueId};
 
-    fn t(x: i64) -> Tuple {
-        Tuple::from(&[x][..])
+    /// A decoded stream of the unary answers `xs`.
+    fn answers(xs: &[i64]) -> IdDecoder<IdVecEnumerator> {
+        let ctx = CtxView::new();
+        let ids = xs.iter().map(|&x| ctx.intern(Value::Int(x))).collect();
+        IdDecoder::new(IdVecEnumerator::from_flat(1, ids), ctx)
     }
 
     #[test]
     fn measure_counts_answers() {
-        let (answers, prof) = measure(|| VecEnumerator::new(vec![t(1), t(2), t(3)]));
+        let (answers, prof) = measure(|| answers(&[1, 2, 3]));
         assert_eq!(answers.len(), 3);
         assert_eq!(prof.count(), 3);
         assert!(prof.max_ns() >= prof.median_ns());
@@ -213,7 +215,7 @@ mod tests {
 
     #[test]
     fn summary_mentions_count() {
-        let (_, prof) = measure(|| VecEnumerator::new(vec![t(1)]));
+        let (_, prof) = measure(|| answers(&[1]));
         assert!(prof.summary().contains("answers=1"));
     }
 }

@@ -25,109 +25,3 @@ pub trait Enumerator {
         out
     }
 }
-
-/// Enumerates a pre-materialized vector.
-#[derive(Debug, Clone)]
-pub struct VecEnumerator {
-    items: std::vec::IntoIter<Tuple>,
-}
-
-impl VecEnumerator {
-    /// Wraps a vector of answers.
-    pub fn new(items: Vec<Tuple>) -> VecEnumerator {
-        VecEnumerator {
-            items: items.into_iter(),
-        }
-    }
-}
-
-impl Enumerator for VecEnumerator {
-    fn next(&mut self) -> Option<Tuple> {
-        self.items.next()
-    }
-}
-
-/// Chains several enumerators back to back.
-pub struct ChainEnumerator {
-    stages: Vec<Box<dyn Enumerator>>,
-    current: usize,
-}
-
-impl ChainEnumerator {
-    /// Chains the given stages in order.
-    pub fn new(stages: Vec<Box<dyn Enumerator>>) -> ChainEnumerator {
-        ChainEnumerator { stages, current: 0 }
-    }
-}
-
-impl Enumerator for ChainEnumerator {
-    fn next(&mut self) -> Option<Tuple> {
-        while self.current < self.stages.len() {
-            if let Some(t) = self.stages[self.current].next() {
-                return Some(t);
-            }
-            self.current += 1;
-        }
-        None
-    }
-}
-
-/// Wraps a closure as an enumerator.
-pub struct FnEnumerator<F: FnMut() -> Option<Tuple>> {
-    f: F,
-}
-
-impl<F: FnMut() -> Option<Tuple>> FnEnumerator<F> {
-    /// Wraps `f`; enumeration ends at the first `None`.
-    pub fn new(f: F) -> FnEnumerator<F> {
-        FnEnumerator { f }
-    }
-}
-
-impl<F: FnMut() -> Option<Tuple>> Enumerator for FnEnumerator<F> {
-    fn next(&mut self) -> Option<Tuple> {
-        (self.f)()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn t(x: i64) -> Tuple {
-        Tuple::from(&[x][..])
-    }
-
-    #[test]
-    fn vec_enumerator_yields_in_order() {
-        let mut e = VecEnumerator::new(vec![t(1), t(2)]);
-        assert_eq!(e.next(), Some(t(1)));
-        assert_eq!(e.next(), Some(t(2)));
-        assert_eq!(e.next(), None);
-        assert_eq!(e.next(), None, "stays exhausted");
-    }
-
-    #[test]
-    fn chain_concatenates() {
-        let mut e = ChainEnumerator::new(vec![
-            Box::new(VecEnumerator::new(vec![t(1)])),
-            Box::new(VecEnumerator::new(vec![])),
-            Box::new(VecEnumerator::new(vec![t(2), t(3)])),
-        ]);
-        assert_eq!(e.collect_all(), vec![t(1), t(2), t(3)]);
-    }
-
-    #[test]
-    fn fn_enumerator_counts_down() {
-        let mut n = 3i64;
-        let mut e = FnEnumerator::new(move || {
-            if n == 0 {
-                None
-            } else {
-                n -= 1;
-                Some(t(n))
-            }
-        });
-        assert_eq!(e.collect_all(), vec![t(2), t(1), t(0)]);
-    }
-}

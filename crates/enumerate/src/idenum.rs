@@ -1,14 +1,14 @@
 //! The id-level enumeration spine: block-at-a-time producers of interned
 //! answer rows.
 //!
-//! The value-level [`Enumerator`](crate::Enumerator) decodes every answer
-//! to an owned [`Tuple`] — one heap allocation and one dictionary sweep
-//! per answer, paid even for answers that a downstream stage (the Cheater
-//! dedup, a counting bench, the union evaluator) immediately discards.
-//! [`IdEnumerator`] is the spine underneath: stages exchange whole
-//! [`IdBlock`]s of flat [`ValueId`] rows, and values are decoded exactly
-//! once, at the API boundary, by whichever facade needs them
-//! ([`IdDecoder`], or [`Cheater::next`](crate::Cheater)).
+//! Every answer producer below the public API — CDY member streams,
+//! Algorithm 1, the Theorem 12 chain, replayed tables — is an
+//! [`IdEnumerator`]: stages exchange whole [`IdBlock`]s of flat
+//! [`ValueId`] rows. Values are decoded exactly once, at the API
+//! boundary, by one of the two value-level edges ([`IdDecoder`] per
+//! block, or [`Cheater::next`](crate::Cheater) per released answer);
+//! answers a downstream stage discards (the Cheater dedup, a counting
+//! bench) are never decoded.
 //!
 //! The contract of [`IdEnumerator::next_block`]: append rows to the block
 //! until it [`is_full`](IdBlock::is_full) or the producer is exhausted,
@@ -75,8 +75,7 @@ impl IdEnumerator for Box<dyn IdEnumerator + Send> {
     }
 }
 
-/// Replays a pre-materialized flat id table (the id-level analogue of
-/// [`VecEnumerator`](crate::VecEnumerator)); used for the pipeline's early
+/// Replays a pre-materialized flat id table; used for the pipeline's early
 /// answers and for materialized (naive) answer sets. The rows are shared:
 /// a clone is a fresh cursor over the same table, not a copy of it.
 #[derive(Clone, Debug)]
@@ -228,6 +227,10 @@ impl<E: IdEnumerator> Enumerator for IdDecoder<E> {
                 self.ctx.decode_rows(self.block.arity(), self.block.ids())
             };
         }
+        // Chaos hook (inert outside `--cfg ucq_fault_inject`): one visit
+        // per emitted answer, as on the Cheater's per-answer decode, so
+        // fault schedules see every strategy at answer granularity.
+        ucq_storage::faults::on_decode();
         let t = std::mem::replace(&mut self.decoded[self.cursor], Tuple::empty());
         self.cursor += 1;
         Some(t)

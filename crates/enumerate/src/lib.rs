@@ -1,16 +1,19 @@
-//! Enumeration framework: the value-level [`Enumerator`] abstraction, the
-//! id-level block-at-a-time spine ([`IdEnumerator`]/[`IdBlock`]), the
-//! Cheater's Lemma compiler ([`Cheater`], Lemma 5 of the paper), and
-//! wall-clock delay instrumentation ([`DelayProfile`]).
+//! Enumeration framework: the id-level block-at-a-time spine
+//! ([`IdEnumerator`]/[`IdBlock`]), the value-level [`Enumerator`] edge
+//! that public APIs hand out, the Cheater's Lemma compiler ([`Cheater`],
+//! Lemma 5 of the paper), and wall-clock delay instrumentation
+//! ([`DelayProfile`]).
 //!
 //! # The id-level spine
 //!
-//! Answers flow between stages as blocks of interned
-//! [`ValueId`](ucq_storage::ValueId) rows; the decode to owned
-//! [`Tuple`](ucq_storage::Tuple)s happens exactly once, at the outermost
-//! API boundary (an [`IdDecoder`] facade or [`Cheater`]'s value-level
-//! `next`), and not at all for answers that dedup discards or that
-//! id-aware callers consume through [`Cheater::next_ids`]. Lemma 5's
+//! Every producer of answers is an [`IdEnumerator`]: answers flow between
+//! stages as blocks of interned [`ValueId`](ucq_storage::ValueId) rows.
+//! The only value-level enumerators are the two edges that decode them to
+//! owned [`Tuple`](ucq_storage::Tuple)s, exactly once: [`IdDecoder`]
+//! (one `decode_rows` call per block) and [`Cheater`]'s value-level
+//! `next` (one decode per released answer). Answers that dedup discards,
+//! or that id-aware callers consume through [`Cheater::next_ids`], are
+//! never decoded. Lemma 5's
 //! pacing accounting is preserved: pump budgets count inner *results*,
 //! blocks only amortize virtual-call and buffer overhead (see
 //! [`cheater`]).
@@ -26,7 +29,7 @@ pub mod idenum;
 pub use budget::{Budgeted, CancelToken, QueryBudget, Truncation};
 pub use cheater::{Cheater, CheaterStats, PumpBudgetError};
 pub use delay::{measure, measure_ids, DelayProfile};
-pub use enumerator::{ChainEnumerator, Enumerator, FnEnumerator, VecEnumerator};
+pub use enumerator::Enumerator;
 pub use idenum::{IdChainEnumerator, IdDecoder, IdEnumerator, IdVecEnumerator, DEFAULT_BLOCK_ROWS};
 
 pub use ucq_storage::IdBlock;

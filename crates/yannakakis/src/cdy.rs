@@ -6,29 +6,30 @@
 //! cached per `(relation, atom shape)`), projects the extension nodes, and
 //! applies the full reducer. Afterwards:
 //!
-//! * [`CdyEngine::iter`] enumerates the projection of the query onto `S`
+//! * [`OwnedCdyIter`] enumerates the projection of the query onto `S`
 //!   with constant delay and no duplicates (the paper's Theorem 3(1) upper
-//!   bound; with `S = free(Q)` this enumerates `Q(I)`);
-//! * [`CdyEngine::contains`] answers membership in constant time (used by
-//!   Algorithm 1);
-//! * [`CdyIter::next_with_full_binding`] additionally extends every answer
-//!   to a full homomorphism — the "extend once" step in the proof of
-//!   Lemma 8.
+//!   bound; with `S = free(Q)` this enumerates `Q(I)`), as interned id
+//!   rows;
+//! * [`CdyEngine::contains_ids`] answers membership of an id row in
+//!   constant time (Algorithm 1's line-4 probe);
+//! * [`OwnedCdyIter::next_binding_into`] plus
+//!   [`CdyEngine::extend_full_block`] extend answers to full homomorphisms
+//!   — the "extend once" step in the proof of Lemma 8.
 //!
-//! The enumeration phase runs entirely on interned [`ValueId`]s: separator
-//! probes project the current binding into a reused key buffer and look up
-//! the per-node [`HashIndex`] with a **borrowed** `&[ValueId]` key — no
-//! heap allocation per answer; values are only decoded when an answer tuple
-//! crosses the API boundary.
+//! Enumeration and membership run entirely on interned [`ValueId`]s:
+//! separator probes project the current binding into a reused key buffer
+//! and look up the per-node [`HashIndex`] with a **borrowed** `&[ValueId]`
+//! key — no heap allocation per answer, and no decode at all: values are
+//! decoded where answers leave the id spine (see `ucq_enumerate`).
 
 use crate::noderel::NodeRel;
 use crate::reducer::full_reduce;
 use std::fmt;
 use std::sync::Arc;
-use ucq_hypergraph::{ext_s_connex_tree, ConnexTree, VSet};
+use ucq_hypergraph::{ext_s_connex_tree, VSet};
 use ucq_query::{Cq, VarId};
 use ucq_storage::sync::OnceLock;
-use ucq_storage::{CtxView, HashIndex, IdSet, Instance, Tuple, Value, ValueId};
+use ucq_storage::{CtxView, HashIndex, IdBlock, IdSet, Instance, Tuple, ValueId};
 
 /// Evaluation errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,7 +61,6 @@ impl std::error::Error for EvalError {}
 /// A preprocessed CDY evaluation of one CQ.
 #[derive(Debug)]
 pub struct CdyEngine {
-    ct: ConnexTree,
     /// Connex-first traversal order; the first `n_connex` entries are `T'`.
     order: Vec<usize>,
     n_connex: usize,
@@ -74,13 +74,16 @@ pub struct CdyEngine {
     /// without re-iterating bitsets or allocating.
     sep_vars: Vec<Vec<u32>>,
     /// Membership sets for connex nodes, built lazily on the first
-    /// [`CdyEngine::contains`] call — enumeration-only engines never pay
-    /// for them.
+    /// [`CdyEngine::contains_ids`] call — enumeration-only engines never
+    /// pay for them.
     row_sets: Vec<OnceLock<IdSet>>,
     /// Row ids of the root (iterated in full).
     root_rows: Vec<u32>,
     /// Output spec: one variable per output position.
     output: Vec<VarId>,
+    /// Whether `output` covers the connex target `S` exactly — the
+    /// precondition of membership, fixed at build time.
+    output_covers_s: bool,
     n_vars: u32,
     nonempty: bool,
     /// The session this engine's ids belong to (build or frozen phase).
@@ -246,9 +249,9 @@ impl CdyEngine {
         let row_sets: Vec<OnceLock<IdSet>> = vec![OnceLock::new(); n_nodes];
         let root = ct.tree.root();
         let root_rows: Vec<u32> = (0..rels[root].rel.len() as u32).collect();
+        let output_covers_s = output.iter().copied().collect::<VSet>() == ct.s;
 
         Ok(CdyEngine {
-            ct,
             order,
             n_connex,
             rels,
@@ -257,6 +260,7 @@ impl CdyEngine {
             row_sets,
             root_rows,
             output,
+            output_covers_s,
             n_vars: cq.n_vars(),
             nonempty,
             ctx: ctx.clone(),
@@ -291,47 +295,35 @@ impl CdyEngine {
         self.ctx = view;
     }
 
-    /// Starts a constant-delay enumeration of the (deduplicated) output.
-    pub fn iter(&self) -> CdyIter<'_> {
-        CdyIter {
-            eng: self,
-            core: IterCore::new(self),
-        }
-    }
-
-    /// Consumes the engine into an owning enumerator.
-    pub fn into_iter_owned(self) -> OwnedCdyIter {
-        OwnedCdyIter::new(Arc::new(self))
-    }
-
-    /// Constant-time membership test for an output tuple. Only valid when
-    /// the output variables cover the connex target `S` (true for
-    /// [`CdyEngine::for_query`] and [`CdyEngine::for_projection`]).
+    /// Membership of a value tuple — the value-level adapter over
+    /// [`CdyEngine::contains_ids`] for callers that hold values: one
+    /// dictionary lookup per value, then the id probe.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.contains_with(tuple, &mut ContainsScratch::default())
+        let mut ids = Vec::with_capacity(tuple.arity());
+        // A value the session has never interned cannot be in any relation.
+        self.ctx.lookup_row(tuple.values(), &mut ids)
+            && self.contains_ids(&ids, &mut ContainsScratch::default())
     }
 
-    /// As [`CdyEngine::contains`], but reusing caller-provided scratch
-    /// buffers so repeated probes (Algorithm 1's inner loop) never allocate.
-    pub fn contains_with(&self, tuple: &Tuple, scratch: &mut ContainsScratch) -> bool {
-        assert_eq!(tuple.arity(), self.output.len(), "arity mismatch");
-        let covered: VSet = self.output.iter().copied().collect();
-        assert_eq!(
-            covered, self.ct.s,
+    /// Constant-time membership test for an output row of interned ids
+    /// (ids of this engine's dictionary lineage), reusing caller-provided
+    /// scratch so repeated probes (Algorithm 1's line 4) never allocate,
+    /// decode or consult the dictionary. Only valid when the output
+    /// variables cover the connex target `S` (true for
+    /// [`CdyEngine::for_query`] and [`CdyEngine::for_projection`]).
+    pub fn contains_ids(&self, row: &[ValueId], scratch: &mut ContainsScratch) -> bool {
+        assert!(
+            self.output_covers_s,
             "membership requires the output to cover S exactly"
         );
+        assert_eq!(row.len(), self.output.len(), "arity mismatch");
         if !self.nonempty {
-            return false;
-        }
-        // A value the session has never interned cannot be in any relation.
-        if !self.ctx.lookup_row(tuple.values(), &mut scratch.ids) {
             return false;
         }
         // Bind output positions, rejecting inconsistent repeats.
         scratch.binding.clear();
         scratch.binding.resize(self.n_vars as usize, None);
-        for (pos, &v) in self.output.iter().enumerate() {
-            let id = scratch.ids[pos];
+        for (&v, &id) in self.output.iter().zip(row) {
             match scratch.binding[v as usize] {
                 Some(existing) if existing != id => return false,
                 _ => scratch.binding[v as usize] = Some(id),
@@ -451,22 +443,12 @@ impl CdyEngine {
             binding[v as usize] = nr.rel.at(row_id as usize, col);
         }
     }
-
-    fn project_output(&self, binding: &[ValueId]) -> Tuple {
-        self.ctx
-            .decode_tuple(self.output.iter().map(|&v| binding[v as usize]))
-    }
-
-    /// Decodes a full binding (indexed by variable id) at the API boundary.
-    fn decode_binding(&self, binding: &[ValueId]) -> Vec<Value> {
-        binding.iter().map(|&id| self.ctx.decode(id)).collect()
-    }
 }
 
-/// Reusable buffers for [`CdyEngine::contains_with`].
+/// Reusable buffers for [`CdyEngine::contains_ids`]; one scratch serves
+/// probes into any number of engines.
 #[derive(Debug, Default)]
 pub struct ContainsScratch {
-    ids: Vec<ValueId>,
     binding: Vec<Option<ValueId>>,
     buf: Vec<ValueId>,
 }
@@ -494,7 +476,7 @@ enum IterPhase {
 
 /// Owned enumeration state — no borrows, so enumerators can own their
 /// engine (see [`OwnedCdyIter`]). Holds every buffer the per-answer step
-/// needs; `next()` allocates nothing beyond the answer tuple itself.
+/// needs; advancing allocates nothing.
 struct IterCore {
     frames: Vec<Frame>,
     binding: Vec<ValueId>,
@@ -583,79 +565,6 @@ impl IterCore {
         self.frames.push(Frame { slot, pos: 0 });
         Some(())
     }
-
-    /// Extends the current connex binding to a full homomorphism by taking
-    /// an arbitrary witness at every non-connex node (the Lemma 8 step).
-    fn extend_full(&mut self, eng: &CdyEngine) {
-        for d in eng.n_connex..eng.order.len() {
-            let node = eng.order[d];
-            let slot = eng
-                .slot(node, &self.binding, &mut self.key_buf)
-                .expect("full reducer guarantees witnesses");
-            let rows = eng.rows(node, slot);
-            debug_assert!(!rows.is_empty());
-            eng.bind_row(node, rows[0], &mut self.binding);
-        }
-    }
-}
-
-/// A constant-delay enumerator borrowing a [`CdyEngine`].
-pub struct CdyIter<'a> {
-    eng: &'a CdyEngine,
-    core: IterCore,
-}
-
-impl<'a> CdyIter<'a> {
-    /// Advances to the next answer; `None` when exhausted.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Tuple> {
-        self.core
-            .advance(self.eng)
-            .then(|| self.eng.project_output(&self.core.binding))
-    }
-
-    /// Advances to the next answer and extends it to a *full* variable
-    /// binding (Lemma 8's "extend once" step). Returns the output tuple and
-    /// the decoded binding indexed by variable id.
-    pub fn next_with_full_binding(&mut self) -> Option<(Tuple, Vec<Value>)> {
-        if !self.core.advance(self.eng) {
-            return None;
-        }
-        self.core.extend_full(self.eng);
-        Some((
-            self.eng.project_output(&self.core.binding),
-            self.eng.decode_binding(&self.core.binding),
-        ))
-    }
-
-    /// Advances to the next answer and appends the raw *connex* binding
-    /// (`n_vars` ids, indexed by variable id; non-connex variables hold
-    /// stale ids) to `out`; returns `false` when exhausted. Blocks of
-    /// bindings gathered this way feed
-    /// [`CdyEngine::extend_full_block`] — the id-level bulk form of
-    /// [`CdyIter::next_with_full_binding`].
-    pub fn next_binding_into(&mut self, out: &mut Vec<ValueId>) -> bool {
-        if !self.core.advance(self.eng) {
-            return false;
-        }
-        out.extend_from_slice(&self.core.binding);
-        true
-    }
-
-    /// Drains the remaining answers into a vector.
-    pub fn collect_all(mut self) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        while let Some(t) = self.next() {
-            out.push(t);
-        }
-        out
-    }
-}
-
-impl ucq_enumerate::Enumerator for CdyIter<'_> {
-    fn next(&mut self) -> Option<Tuple> {
-        CdyIter::next(self)
-    }
 }
 
 /// A constant-delay enumerator sharing its engine (`Arc`), suitable for
@@ -678,30 +587,17 @@ impl OwnedCdyIter {
         &self.eng
     }
 
-    /// Advances to the next answer; `None` when exhausted.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Tuple> {
-        self.core
-            .advance(&self.eng)
-            .then(|| self.eng.project_output(&self.core.binding))
-    }
-
-    /// See [`CdyIter::next_with_full_binding`].
-    pub fn next_with_full_binding(&mut self) -> Option<(Tuple, Vec<Value>)> {
+    /// Advances to the next answer and appends the raw *connex* binding
+    /// (`n_vars` ids, indexed by variable id; non-connex variables hold
+    /// stale ids) to `out`; returns `false` when exhausted. Blocks of
+    /// bindings gathered this way feed [`CdyEngine::extend_full_block`]
+    /// (Lemma 8's "extend once" step, in bulk).
+    pub fn next_binding_into(&mut self, out: &mut Vec<ValueId>) -> bool {
         if !self.core.advance(&self.eng) {
-            return None;
+            return false;
         }
-        self.core.extend_full(&self.eng);
-        Some((
-            self.eng.project_output(&self.core.binding),
-            self.eng.decode_binding(&self.core.binding),
-        ))
-    }
-}
-
-impl ucq_enumerate::Enumerator for OwnedCdyIter {
-    fn next(&mut self) -> Option<Tuple> {
-        OwnedCdyIter::next(self)
+        out.extend_from_slice(&self.core.binding);
+        true
     }
 }
 
@@ -713,7 +609,7 @@ impl ucq_enumerate::IdEnumerator for OwnedCdyIter {
         self.eng.output_arity()
     }
 
-    fn next_block(&mut self, block: &mut ucq_storage::IdBlock) -> usize {
+    fn next_block(&mut self, block: &mut IdBlock) -> usize {
         debug_assert_eq!(block.arity(), self.eng.output_arity());
         let mut n = 0;
         while !block.is_full() && self.core.advance(&self.eng) {
@@ -732,8 +628,9 @@ impl ucq_enumerate::IdEnumerator for OwnedCdyIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ucq_enumerate::{Enumerator, IdDecoder};
     use ucq_query::parse_cq;
-    use ucq_storage::Relation;
+    use ucq_storage::{Relation, Value};
 
     fn inst(rels: &[(&str, Vec<(i64, i64)>)]) -> Instance {
         rels.iter()
@@ -741,13 +638,26 @@ mod tests {
             .collect()
     }
 
+    /// Drains a fresh enumeration of `eng`, decoded at the edge.
+    fn answers(eng: &Arc<CdyEngine>) -> Vec<Tuple> {
+        IdDecoder::new(OwnedCdyIter::new(Arc::clone(eng)), eng.context().clone()).collect_all()
+    }
+
+    /// The interned ids of `values` (all must already be interned).
+    fn ids(eng: &CdyEngine, values: &[i64]) -> Vec<ValueId> {
+        let values: Vec<Value> = values.iter().map(|&v| Value::Int(v)).collect();
+        let mut out = Vec::new();
+        assert!(eng.context().lookup_row(&values, &mut out), "unknown value");
+        out
+    }
+
     #[test]
     fn full_projection_path_join() {
         let q = parse_cq("Q(x, z, y) <- R(x, z), S(z, y)").unwrap();
         let i = inst(&[("R", vec![(1, 2), (5, 6)]), ("S", vec![(2, 3), (2, 4)])]);
-        let eng = CdyEngine::for_query(&q, &i).unwrap();
+        let eng = Arc::new(CdyEngine::for_query(&q, &i).unwrap());
         assert!(eng.decide());
-        let mut got = eng.iter().collect_all();
+        let mut got = answers(&eng);
         got.sort();
         let expect: Vec<Tuple> = vec![
             Tuple::from(&[1i64, 2, 3][..]),
@@ -762,8 +672,8 @@ mod tests {
         let q = parse_cq("Q(x, y) <- R(x, z), S(z, y)").unwrap();
         let s: VSet = [0u32, 2].into_iter().collect(); // {x, z}
         let i = inst(&[("R", vec![(1, 2), (5, 9)]), ("S", vec![(2, 3)])]);
-        let eng = CdyEngine::for_projection(&q, s, &i).unwrap();
-        let got = eng.iter().collect_all();
+        let eng = Arc::new(CdyEngine::for_projection(&q, s, &i).unwrap());
+        let got = answers(&eng);
         assert_eq!(got, vec![Tuple::from(&[1i64, 2][..])]);
     }
 
@@ -778,14 +688,14 @@ mod tests {
     fn boolean_query_decides() {
         let q = parse_cq("B() <- R(x, y), S(y, z)").unwrap();
         let yes = inst(&[("R", vec![(1, 2)]), ("S", vec![(2, 3)])]);
-        let eng = CdyEngine::for_query(&q, &yes).unwrap();
+        let eng = Arc::new(CdyEngine::for_query(&q, &yes).unwrap());
         assert!(eng.decide());
-        assert_eq!(eng.iter().collect_all(), vec![Tuple::empty()]);
+        assert_eq!(answers(&eng), vec![Tuple::empty()]);
 
         let no = inst(&[("R", vec![(1, 2)]), ("S", vec![(9, 3)])]);
-        let eng = CdyEngine::for_query(&q, &no).unwrap();
+        let eng = Arc::new(CdyEngine::for_query(&q, &no).unwrap());
         assert!(!eng.decide());
-        assert!(eng.iter().collect_all().is_empty());
+        assert!(answers(&eng).is_empty());
     }
 
     #[test]
@@ -812,17 +722,17 @@ mod tests {
         let i = inst(&[("R", vec![(1, 2)]), ("S", vec![(2, 3)])]);
         let eng = CdyEngine::for_query(&q, &i).unwrap();
         let mut scratch = ContainsScratch::default();
-        assert!(eng.contains_with(&Tuple::from(&[1i64, 2, 3][..]), &mut scratch));
-        assert!(!eng.contains_with(&Tuple::from(&[1i64, 2, 9][..]), &mut scratch));
-        assert!(eng.contains_with(&Tuple::from(&[1i64, 2, 3][..]), &mut scratch));
+        assert!(eng.contains_ids(&ids(&eng, &[1, 2, 3]), &mut scratch));
+        assert!(!eng.contains_ids(&ids(&eng, &[1, 2, 1]), &mut scratch));
+        assert!(eng.contains_ids(&ids(&eng, &[1, 2, 3]), &mut scratch));
     }
 
     #[test]
     fn repeated_head_variable() {
         let q = parse_cq("Q(x, x, y) <- R(x, y)").unwrap();
         let i = inst(&[("R", vec![(1, 2)])]);
-        let eng = CdyEngine::for_query(&q, &i).unwrap();
-        let got = eng.iter().collect_all();
+        let eng = Arc::new(CdyEngine::for_query(&q, &i).unwrap());
+        let got = answers(&eng);
         assert_eq!(got, vec![Tuple::from(&[1i64, 1, 2][..])]);
         assert!(eng.contains(&Tuple::from(&[1i64, 1, 2][..])));
         // Inconsistent repeats are rejected by membership.
@@ -837,13 +747,17 @@ mod tests {
         let s = VSet::singleton(0); // {x}
         let i = inst(&[("R", vec![(1, 2)]), ("S", vec![(2, 3), (2, 4)])]);
         let eng = CdyEngine::build_in(&q, s, vec![0], &i, &CtxView::new()).unwrap();
-        let mut it = eng.iter();
-        let (t, binding) = it.next_with_full_binding().unwrap();
-        assert_eq!(t, Tuple::from(&[1i64][..]));
+        let mut it = OwnedCdyIter::new(Arc::new(eng));
+        let mut block = Vec::new();
+        assert!(it.next_binding_into(&mut block));
+        it.engine().extend_full_block(&mut block);
+        let ctx = it.engine().context();
+        let binding: Vec<Value> = block.iter().map(|&id| ctx.decode(id)).collect();
+        assert_eq!(binding[0], Value::Int(1));
         // Witness: z = 2, y ∈ {3, 4}.
         assert_eq!(binding[2], Value::Int(2));
         assert!(binding[1] == Value::Int(3) || binding[1] == Value::Int(4));
-        assert!(it.next_with_full_binding().is_none());
+        assert!(!it.next_binding_into(&mut block));
     }
 
     #[test]
@@ -855,8 +769,8 @@ mod tests {
             ("R", vec![(1, 2), (1, 5)]),
             ("S", vec![(2, 3), (2, 4), (5, 6)]),
         ]);
-        let eng = CdyEngine::build_in(&q, s, vec![0], &i, &CtxView::new()).unwrap();
-        assert_eq!(eng.iter().collect_all(), vec![Tuple::from(&[1i64][..])]);
+        let eng = Arc::new(CdyEngine::build_in(&q, s, vec![0], &i, &CtxView::new()).unwrap());
+        assert_eq!(answers(&eng), vec![Tuple::from(&[1i64][..])]);
     }
 
     #[test]
@@ -864,8 +778,8 @@ mod tests {
         // Q(x,y,z) <- E(x,y), F(x,z): free-connex; output is the join.
         let q = parse_cq("Q(x, y, z) <- E(x, y), F(x, z)").unwrap();
         let i = inst(&[("E", vec![(1, 10), (1, 11)]), ("F", vec![(1, 20), (2, 9)])]);
-        let eng = CdyEngine::for_query(&q, &i).unwrap();
-        let mut got = eng.iter().collect_all();
+        let eng = Arc::new(CdyEngine::for_query(&q, &i).unwrap());
+        let mut got = answers(&eng);
         got.sort();
         assert_eq!(
             got,
@@ -882,14 +796,14 @@ mod tests {
         let i = inst(&[("R", vec![(1, 2), (2, 3)]), ("S", vec![(2, 4), (3, 5)])]);
         let q1 = parse_cq("Q(x, y, z) <- R(x, y), S(y, z)").unwrap();
         let q2 = parse_cq("P(a, b, c) <- R(a, b), S(b, c)").unwrap();
-        let e1 = CdyEngine::for_query_in(&q1, &i, &ctx).unwrap();
-        let e2 = CdyEngine::for_query_in(&q2, &i, &ctx).unwrap();
+        let e1 = Arc::new(CdyEngine::for_query_in(&q1, &i, &ctx).unwrap());
+        let e2 = Arc::new(CdyEngine::for_query_in(&q2, &i, &ctx).unwrap());
         assert!(
             ctx.stats().derived_hits >= 2,
             "q2 reused q1's normalizations"
         );
-        let mut a1 = e1.iter().collect_all();
-        let mut a2 = e2.iter().collect_all();
+        let mut a1 = answers(&e1);
+        let mut a2 = answers(&e2);
         a1.sort();
         a2.sort();
         assert_eq!(a1, a2, "same bodies, same answers");

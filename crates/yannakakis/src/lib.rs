@@ -14,10 +14,7 @@ pub mod naive;
 pub mod noderel;
 pub mod reducer;
 
-pub use cdy::{CdyEngine, CdyIter, ContainsScratch, EvalError, OwnedCdyIter};
-pub use naive::{
-    evaluate_cq_naive, evaluate_cq_naive_ids_in, evaluate_cq_naive_in, evaluate_cq_naive_set,
-    IdTable,
-};
+pub use cdy::{CdyEngine, ContainsScratch, EvalError, OwnedCdyIter};
+pub use naive::{evaluate_cq_naive, evaluate_cq_naive_ids_in, IdTable};
 pub use noderel::{atom_signature, NodeRel};
 pub use reducer::full_reduce;

@@ -55,16 +55,8 @@ impl IdTable {
 /// Evaluates `Q(I)` naively with a private context, returning the
 /// deduplicated answers in unspecified order.
 pub fn evaluate_cq_naive(cq: &Cq, instance: &Instance) -> Result<Vec<Tuple>, EvalError> {
-    evaluate_cq_naive_in(cq, instance, &CtxView::new())
-}
-
-/// As [`evaluate_cq_naive`], sharing the caches of `ctx`.
-pub fn evaluate_cq_naive_in(
-    cq: &Cq,
-    instance: &Instance,
-    ctx: &CtxView,
-) -> Result<Vec<Tuple>, EvalError> {
-    let ids = evaluate_cq_naive_ids_in(cq, instance, ctx)?;
+    let ctx = CtxView::new();
+    let ids = evaluate_cq_naive_ids_in(cq, instance, &ctx)?;
     if ids.width == 0 {
         return Ok(vec![Tuple::empty(); ids.n_rows]);
     }
@@ -291,14 +283,10 @@ pub fn evaluate_cq_naive_ids_in(
     Ok(projected)
 }
 
-/// Evaluates `Q(I)` naively into a hash set.
-pub fn evaluate_cq_naive_set(cq: &Cq, instance: &Instance) -> Result<HashSet<Tuple>, EvalError> {
-    Ok(evaluate_cq_naive(cq, instance)?.into_iter().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ucq_enumerate::{Enumerator, IdDecoder};
     use ucq_query::parse_cq;
     use ucq_storage::Relation;
 
@@ -377,8 +365,9 @@ mod tests {
         ]);
         let mut naive = evaluate_cq_naive(&q, &i).unwrap();
         naive.sort();
-        let eng = crate::cdy::CdyEngine::for_query(&q, &i).unwrap();
-        let mut cdy = eng.iter().collect_all();
+        let eng = Arc::new(crate::cdy::CdyEngine::for_query(&q, &i).unwrap());
+        let ctx = eng.context().clone();
+        let mut cdy = IdDecoder::new(crate::cdy::OwnedCdyIter::new(eng), ctx).collect_all();
         cdy.sort();
         assert_eq!(naive, cdy);
     }
@@ -388,10 +377,10 @@ mod tests {
         let ctx = CtxView::new();
         let q = parse_cq("Q(x, y) <- R(x, z), S(z, y)").unwrap();
         let i = inst(&[("R", vec![(1, 2)]), ("S", vec![(2, 3)])]);
-        let a = evaluate_cq_naive_in(&q, &i, &ctx).unwrap();
+        let a = evaluate_cq_naive_ids_in(&q, &i, &ctx).unwrap();
         let builds = ctx.stats().index_builds;
-        let b = evaluate_cq_naive_in(&q, &i, &ctx).unwrap();
-        assert_eq!(a, b);
+        let b = evaluate_cq_naive_ids_in(&q, &i, &ctx).unwrap();
+        assert_eq!((a.n_rows, a.data), (b.n_rows, b.data));
         assert_eq!(
             ctx.stats().index_builds,
             builds,

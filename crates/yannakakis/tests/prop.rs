@@ -4,9 +4,17 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Arc;
+use ucq_enumerate::{Enumerator, IdDecoder};
 use ucq_query::Cq;
 use ucq_storage::{Instance, Relation, Tuple, Value};
-use ucq_yannakakis::{evaluate_cq_naive, CdyEngine};
+use ucq_yannakakis::{evaluate_cq_naive, CdyEngine, OwnedCdyIter};
+
+/// Drains a fresh enumeration of `eng`, decoded at the edge.
+fn answers(eng: CdyEngine) -> Vec<Tuple> {
+    let ctx = eng.context().clone();
+    IdDecoder::new(OwnedCdyIter::new(Arc::new(eng)), ctx).collect_all()
+}
 
 /// A random CQ description: atoms over variables `v0..v5` plus a head.
 #[derive(Debug, Clone)]
@@ -87,11 +95,11 @@ proptest! {
         let naive: HashSet<Tuple> =
             evaluate_cq_naive(&rq.cq, &inst).unwrap().into_iter().collect();
         let eng = CdyEngine::for_query(&rq.cq, &inst).unwrap();
-        let answers = eng.iter().collect_all();
+        prop_assert_eq!(eng.decide(), !naive.is_empty());
+        let answers = answers(eng);
         let set: HashSet<Tuple> = answers.iter().cloned().collect();
         prop_assert_eq!(answers.len(), set.len(), "CDY must not emit duplicates");
         prop_assert_eq!(&set, &naive, "CDY answer set must equal naive for {}", rq.cq);
-        prop_assert_eq!(eng.decide(), !naive.is_empty());
     }
 
     #[test]
@@ -125,7 +133,7 @@ proptest! {
         let naive: HashSet<Tuple> =
             evaluate_cq_naive(&reheaded, &inst).unwrap().into_iter().collect();
         let eng = CdyEngine::for_projection(&rq.cq, s, &inst).unwrap();
-        let set: HashSet<Tuple> = eng.iter().collect_all().into_iter().collect();
+        let set: HashSet<Tuple> = answers(eng).into_iter().collect();
         prop_assert_eq!(set, naive);
     }
 
@@ -133,11 +141,22 @@ proptest! {
     fn full_binding_extensions_are_homomorphisms((rq, inst) in query_and_instance()) {
         prop_assume!(rq.cq.is_free_connex());
         let eng = CdyEngine::for_query(&rq.cq, &inst).unwrap();
-        let mut it = eng.iter();
-        let mut count = 0;
-        while let Some((_t, binding)) = it.next_with_full_binding() {
-            count += 1;
-            if count > 64 { break; }
+        let ctx = eng.context().clone();
+        let w = eng.n_vars() as usize;
+        let mut it = OwnedCdyIter::new(Arc::new(eng));
+        // The first 64 answers, pulled and extended in blocks of 16 as
+        // Lemma 8 does.
+        let mut block = Vec::new();
+        for _ in 0..4 {
+            let start = block.len();
+            let mut pulled = 0;
+            while pulled < 16 && it.next_binding_into(&mut block) {
+                pulled += 1;
+            }
+            it.engine().extend_full_block(&mut block[start..]);
+        }
+        for full in block.chunks(w) {
+            let binding: Vec<Value> = full.iter().map(|&id| ctx.decode(id)).collect();
             // The binding must satisfy every atom.
             for atom in rq.cq.atoms() {
                 let row: Vec<Value> =

@@ -6,7 +6,8 @@
 //! cargo run --release --example delay_profile
 //! ```
 
-use ucq::enumerate::VecEnumerator;
+use ucq::core::evaluate_ucq_naive_ids_in;
+use ucq::enumerate::{IdDecoder, IdVecEnumerator};
 use ucq::prelude::*;
 use ucq::workloads::{by_id, random_instance, InstanceSpec};
 
@@ -26,10 +27,16 @@ fn main() {
         // DelayClin pipeline, instrumented.
         let (answers, prof) = measure(|| engine.enumerate(&inst).expect("pipeline"));
 
-        // Naive baseline: everything is preprocessing, enumeration is a
-        // vector drain.
-        let (nv, nprof) =
-            measure(|| VecEnumerator::new(engine.enumerate_naive(&inst).expect("naive")));
+        // Naive baseline: everything is preprocessing (the answer table is
+        // materialized before the first answer), enumeration is a replay.
+        let (nv, nprof) = measure(|| {
+            let ctx = CtxView::new();
+            let table = evaluate_ucq_naive_ids_in(&entry.ucq, &inst, &ctx).expect("naive");
+            IdDecoder::new(
+                IdVecEnumerator::new(table.width, table.data, table.n_rows),
+                ctx,
+            )
+        });
         assert_eq!(
             answers.len(),
             nv.len(),
